@@ -1,8 +1,8 @@
 // Micro-benchmark for the compiled inference engine (ISSUE 6).
 //
-// Freezes a ResNet-18S-shaped spiking network into an infer::Plan (BN
-// folded into per-timestep weights, LIF fused into the conv epilogues,
-// all buffers preplanned) and times Engine::step against the training
+// Freezes a ResNet-18S-shaped spiking network into an infer::Plan (one
+// weight copy per op, BNTT and LIF fused into the conv epilogues, all
+// buffers preplanned) and times Engine::step against the training
 // graph's eval-mode forward — the event-driven SpikeCsr path the repo
 // already ships — over a theta x input-rate sweep. Raising the LIF
 // threshold theta lowers every layer's firing rate, so the sweep covers
@@ -11,15 +11,15 @@
 // the achieved density measured from the engine's exact popcounts.
 //
 // Every configuration also cross-checks the compiled plan's per-step
-// outputs against the training eval forward (1e-4, the documented BN-fold
-// reassociation tolerance), so the ctest smoke variant (--smoke 1,
+// outputs against the training eval forward (1e-4, the documented
+// packed-path reassociation tolerance), so the ctest smoke variant (--smoke 1,
 // registered in bench/CMakeLists) runs compile + execute end-to-end under
 // the sanitizer job on every tier-1 run.
 //
 // Models are loaded through serve::ModelRegistry (ISSUE 7) — the same
 // build -> warm -> compile -> engine-pool path the serving daemon uses —
 // and engines carry per-engine infer::ExecOptions (overridable with
-// --packed / --dispatch-threshold) instead of mutating process globals.
+// --dispatch-threshold) instead of mutating process globals.
 //
 // The int8 leg (ISSUE 10): --precision int8 (or the default `both`)
 // additionally sweeps an int8-compiled twin of every configuration —
@@ -33,7 +33,7 @@
 // regression gate keys fp32 and int8 rows separately.
 //
 // Usage: micro_infer [--smoke 1] [--out BENCH_infer.json] [--min-ms 50]
-//                    [--width 16] [--packed 0|1] [--dispatch-threshold T]
+//                    [--width 16] [--dispatch-threshold T]
 //                    [--precision fp32|int8|both]
 
 #include <cmath>
@@ -179,7 +179,6 @@ int run(int argc, char** argv) {
   // Per-engine execution options for every engine the registry pools;
   // env vars still seed the process defaults, CLI flags override both.
   infer::ExecOptions exec = infer::ExecOptions::defaults();
-  exec.packed = args.get_int("packed", exec.packed ? 1 : 0) != 0;
   exec.threshold = static_cast<float>(
       args.get_double("dispatch-threshold", static_cast<double>(exec.threshold)));
 

@@ -58,9 +58,10 @@ int main(int argc, char** argv) {
   train_cfg.epochs = args.get_int("epochs", 3);
   train_cfg.batch_size = 20;
   train_cfg.lr = 0.15f;
-  train_cfg.verbose = true;
   TelemetryObserver telemetry_observer;
   if (!trace_out.empty()) train_cfg.observers.push_back(&telemetry_observer);
+  ProgressPrinter progress;
+  train_cfg.observers.push_back(&progress);
   const FitResult fr =
       fit(net, NeuronMode::Spiking, data.train, data.val, train_cfg);
   std::printf("best val accuracy: %.1f%%\n", fr.best_val_acc * 100.0);

@@ -57,12 +57,13 @@ if [[ "${MODE}" == "tsan" ]]; then
   # gradient reduction, concurrent Engines with distinct ExecOptions, the
   # serving daemon (dispatcher + workers + client threads), the serve
   # chaos drills (loopback TCP, armed fault sites, concurrent clients),
-  # and both serve_load smokes' closed-loop clients.
+  # the snnskip-serve binary's launch/SIGTERM drill, and both serve_load
+  # smokes' closed-loop clients.
   (
     cd "${BUILD_DIR}"
     TSAN_OPTIONS="halt_on_error=1" \
       ctest --output-on-failure -j "$(nproc)" \
-      -R '(ParallelTest|ThreadPool|DataParallel|Concurrent|ServerTest|ModelRegistryTest|ServeFault|serve_load_smoke|serve_load_socket_smoke)'
+      -R '(ParallelTest|ThreadPool|DataParallel|Concurrent|ServerTest|ModelRegistryTest|ServeFault|ServeBinary|serve_load_smoke|serve_load_socket_smoke)'
   )
 else
   echo "== ctest (tier-1 + fault suite) =="

@@ -26,8 +26,8 @@ namespace {
   throw std::invalid_argument("infer::compile: " + what);
 }
 
-/// Per-channel eval-mode BN fold — the EXACT expressions BatchNormTT's
-/// eval path uses, so the no-fold epilogue reproduces it bit-for-bit.
+/// Per-channel eval-mode BN scale/shift — the EXACT expressions
+/// BatchNormTT's eval path uses, so the epilogue reproduces it bit-for-bit.
 struct BnFold {
   std::vector<float> scale, shift;
 };
@@ -108,150 +108,103 @@ float row_absmax(const float* row, std::int64_t n) {
   return m;
 }
 
-/// Builds op weight copies. `bn == nullptr` means nothing to fold (proj
-/// convs, the head linear): one copy, bias = the layer's own bias.
+/// One op's weights. `bn == nullptr` means no BN (proj convs, the head
+/// linear): one epilogue bias (the layer's own), no scale.
 struct WeightBuild {
   const float* w = nullptr;       ///< (O, CKK) for conv; (C, KK) depthwise;
                                   ///< (O, I) linear
   const float* layer_bias = nullptr;  ///< may be null
   std::int64_t rows = 0;          ///< O (conv/linear) or C (depthwise)
   std::int64_t cols = 0;          ///< CKK / KK / I
-  bool transpose = false;         ///< emit ((c,..), o) panels (conv only)
-  bool keep_dense = false;        ///< also keep the raw layout in wd
+  bool transpose = false;         ///< conv: ((c,..), o) panel + (O, CKK) rows
 };
 
-void build_weights(OpPlan& op, const WeightBuild& b, const BatchNormTT* bn,
-                   bool fold_bn) {
-  const std::int64_t copies = (bn != nullptr) ? bn->max_timesteps() : 1;
-  const std::size_t n = static_cast<std::size_t>(b.rows * b.cols);
-
-  auto raw = std::vector<float>(b.w, b.w + n);
-  auto raw_bias = std::vector<float>(static_cast<std::size_t>(b.rows), 0.f);
+/// Per-timestep epilogue vectors: scale_t[o] = bn_scale_t[o] * S[o] and
+/// bias_t[o] = bn_shift_t[o] + bn_scale_t[o] * layer_bias[o] (conv bias
+/// never coexists with BN in this repo's models). Without BN there is one
+/// copy: bias = layer_bias and scale = S. `S` is the int8 per-channel
+/// dequant step; null for fp32, where BN-less ops get no scale at all.
+void build_epilogue(OpPlan& op, const WeightBuild& b, const BatchNormTT* bn,
+                    const std::vector<float>* S) {
+  std::vector<float> raw_bias(static_cast<std::size_t>(b.rows), 0.f);
   if (b.layer_bias != nullptr) {
     raw_bias.assign(b.layer_bias, b.layer_bias + b.rows);
   }
-
-  if (bn == nullptr || !fold_bn) {
-    // Single weight copy. With a BN present, scale/shift go to the
-    // epilogue (one (scale, bias) pair per timestep); the layer's own
-    // bias, if any, is pre-scaled into the shift (conv bias never
-    // coexists with BN in this repo's models).
-    op.wt.push_back(b.transpose ? transpose_rows(raw.data(), b.rows, b.cols)
-                                : raw);
-    if (b.keep_dense) op.wd.push_back(raw);
-    if (bn == nullptr) {
-      op.bias.push_back(raw_bias);
-    } else {
-      for (std::int64_t t = 0; t < copies; ++t) {
-        BnFold f = bn_fold(*bn, t);
-        std::vector<float> bias(f.shift);
-        for (std::int64_t o = 0; o < b.rows; ++o) {
-          bias[static_cast<std::size_t>(o)] +=
-              f.scale[static_cast<std::size_t>(o)] *
-              raw_bias[static_cast<std::size_t>(o)];
-        }
-        op.bias.push_back(std::move(bias));
-        op.scale.push_back(std::move(f.scale));
-      }
-    }
+  if (bn == nullptr) {
+    if (S != nullptr) op.scale.push_back(*S);
+    op.bias.push_back(std::move(raw_bias));
     return;
   }
-
-  // Folded mode: scale each output row of the weights, one copy per
-  // timestep. The transposed panel feeds the event kernels; convs also
-  // keep the folded (O, CKK) layout so the dense and CSR dispatches run
-  // the exact row-major GEMM / event kernel the training graph runs
-  // (gemm_tn on the transposed panel is several times slower at the
-  // small spatial sizes where dense dispatch actually happens).
-  for (std::int64_t t = 0; t < copies; ++t) {
+  for (std::int64_t t = 0; t < bn->max_timesteps(); ++t) {
     BnFold f = bn_fold(*bn, t);
-    std::vector<float> wf(n);
     for (std::int64_t o = 0; o < b.rows; ++o) {
-      const float sc = f.scale[static_cast<std::size_t>(o)];
-      const float* src = raw.data() + o * b.cols;
-      float* dst = wf.data() + o * b.cols;
-      for (std::int64_t r = 0; r < b.cols; ++r) dst[r] = sc * src[r];
+      const std::size_t oi = static_cast<std::size_t>(o);
+      f.shift[oi] += f.scale[oi] * raw_bias[oi];
+      if (S != nullptr) f.scale[oi] *= (*S)[oi];
     }
-    if (b.keep_dense && b.transpose) op.wd.push_back(wf);
-    op.wt.push_back(b.transpose ? transpose_rows(wf.data(), b.rows, b.cols)
-                                : std::move(wf));
-    std::vector<float> bias(f.shift);
-    for (std::int64_t o = 0; o < b.rows; ++o) {
-      bias[static_cast<std::size_t>(o)] +=
-          f.scale[static_cast<std::size_t>(o)] *
-          raw_bias[static_cast<std::size_t>(o)];
-    }
-    op.bias.push_back(std::move(bias));
+    op.bias.push_back(std::move(f.shift));
+    op.scale.push_back(std::move(f.scale));
   }
 }
 
+/// Fp32 weight build: the raw weights, once.
+void build_weights(OpPlan& op, const WeightBuild& b, const BatchNormTT* bn) {
+  std::vector<float> raw(b.w, b.w + b.rows * b.cols);
+  if (b.transpose) {
+    op.wt = transpose_rows(raw.data(), b.rows, b.cols);
+    op.wd = std::move(raw);
+  } else {
+    op.wt = std::move(raw);
+  }
+  build_epilogue(op, b, bn, nullptr);
+}
+
 /// Int8 weight build: quantize the RAW weights once (per-output-channel
-/// symmetric, S[o] = absmax / 127) and absorb the BNTT fold into the
-/// epilogue's per-timestep dequant scale (scale_t[o] = S[o] *
-/// bn_scale_t[o]; bias_t identical to the no-fold builder). The scale
-/// panel is SHARED with every sunk ASC term's composite rows — both
-/// accumulate into the same int32 panel on the packed path, so one
-/// uniform per-channel dequant must cover them; S[o] therefore takes the
-/// absmax over the op's own row o AND each sunk term's composite row o.
-/// Terms' raw composite bases (stashed in t.wd[0] by build_sunk_term's
-/// int8 mode) are consumed here and replaced by the quantized transposed
-/// panel in t.wq8.
+/// symmetric, S[o] = absmax / 127) and multiply S into the epilogue's
+/// per-timestep BN scale (build_epilogue). The scale panel is SHARED with
+/// every sunk ASC term's composite rows — both accumulate into the same
+/// int32 panel on the packed path, so one uniform per-channel dequant must
+/// cover them; S[o] therefore takes the absmax over the op's own row o AND
+/// each sunk term's composite column o. Each term's fp32 composite panel
+/// (t.wt, from build_sunk_term) is replaced by its quantized twin t.wq8.
 void build_weights_i8(OpPlan& op, const WeightBuild& b,
                       const BatchNormTT* bn) {
-  const std::int64_t copies = (bn != nullptr) ? bn->max_timesteps() : 1;
-  const std::size_t n = static_cast<std::size_t>(b.rows * b.cols);
-
-  auto raw = std::vector<float>(b.w, b.w + n);
-  auto raw_bias = std::vector<float>(static_cast<std::size_t>(b.rows), 0.f);
-  if (b.layer_bias != nullptr) {
-    raw_bias.assign(b.layer_bias, b.layer_bias + b.rows);
-  }
-
-  std::vector<float> S(static_cast<std::size_t>(b.rows), 1.f);
-  for (std::int64_t o = 0; o < b.rows; ++o) {
-    float amax = row_absmax(raw.data() + o * b.cols, b.cols);
+  const std::int64_t o_c = b.rows;
+  std::vector<float> S(static_cast<std::size_t>(o_c), 1.f);
+  for (std::int64_t o = 0; o < o_c; ++o) {
+    float amax = row_absmax(b.w + o * b.cols, b.cols);
     for (const TermPlan& t : op.terms) {
       if (!t.sunk) continue;
       const std::int64_t tckk = t.geom.col_rows();
-      amax = std::max(amax, row_absmax(t.wd[0].data() + o * tckk, tckk));
+      for (std::int64_t r = 0; r < tckk; ++r) {
+        amax = std::max(amax, std::fabs(t.wt[static_cast<std::size_t>(
+                                  r * o_c + o)]));
+      }
     }
     if (amax > 0.f) S[static_cast<std::size_t>(o)] = amax / 127.f;
   }
 
-  auto q = quantize_rows_i8(raw.data(), b.rows, b.cols, S);
+  auto q = quantize_rows_i8(b.w, o_c, b.cols, S);
   if (b.transpose) {
     // Conv: transposed panel for the packed event kernel, rows for the
     // dense int8 GEMM.
-    op.wq8t = transpose_rows_i8(q.data(), b.rows, b.cols);
+    op.wq8t = transpose_rows_i8(q.data(), o_c, b.cols);
     op.wq8d = std::move(q);
   } else if (op.kind == OpKind::DwConv) {
     op.wq8t = std::move(q);  // (C, K, K) bank, both dispatch modes
   } else {
     op.wq8d = std::move(q);  // Linear (O, I) rows
   }
-
-  for (std::int64_t t = 0; t < copies; ++t) {
-    std::vector<float> sc(S);
-    std::vector<float> bias(raw_bias);
-    if (bn != nullptr) {
-      BnFold f = bn_fold(*bn, t);
-      for (std::int64_t o = 0; o < b.rows; ++o) {
-        const std::size_t oi = static_cast<std::size_t>(o);
-        sc[oi] = f.scale[oi] * S[oi];
-        bias[oi] = f.shift[oi] + f.scale[oi] * raw_bias[oi];
-      }
-    }
-    op.scale.push_back(std::move(sc));
-    op.bias.push_back(std::move(bias));
-  }
+  build_epilogue(op, b, bn, &S);
 
   for (TermPlan& t : op.terms) {
     if (!t.sunk) continue;
-    const std::int64_t tckk = t.geom.col_rows();
-    auto tq = quantize_rows_i8(t.wd[0].data(), b.rows, tckk, S);
-    t.wq8 = transpose_rows_i8(tq.data(), b.rows, tckk);
-    t.wd.clear();  // dense dispatch rematerializes via t.pw; no CSR mode
-    t.wd.shrink_to_fit();
+    t.wq8.resize(t.wt.size());
+    for (std::size_t i = 0; i < t.wt.size(); ++i) {
+      const std::size_t o = i % static_cast<std::size_t>(o_c);
+      t.wq8[i] = quantize_one_i8(t.wt[i], 1.f / S[o]);
+    }
+    t.wt = {};  // dense dispatch rematerializes via t.pw
   }
 }
 
@@ -282,12 +235,7 @@ class Compiler {
   Compiler(Network& net, const Shape& input_shape, const CompileOptions& opts)
       : net_(net), opts_(opts) {
     if (input_shape.ndim() != 4) fail("input shape must be (N, C, H, W)");
-    if (opts.precision == Precision::Int8 && !opts.fold_bn) {
-      fail("int8 precision requires fold_bn (the no-fold bitwise mode is "
-           "fp32-only)");
-    }
     plan_.input_shape = input_shape;
-    plan_.bn_folded = opts.fold_bn;
     plan_.precision = opts.precision;
   }
 
@@ -428,7 +376,7 @@ class Compiler {
   void build_op_weights(OpPlan& op, const WeightBuild& b,
                         const BatchNormTT* bn) {
     if (!int8()) {
-      build_weights(op, b, bn, opts_.fold_bn);
+      build_weights(op, b, bn);
       return;
     }
     build_weights_i8(op, b, bn);
@@ -470,7 +418,6 @@ class Compiler {
     b.rows = conv.out_channels();
     b.cols = conv.in_channels() * conv.kernel() * conv.kernel();
     b.transpose = true;
-    b.keep_dense = true;  // dense/CSR dispatch wants the (O, CKK) layout
     build_op_weights(op, b, bn);
     const bool spiking_out = op.epi == Epi::Lif;
     const Shape out_shape = conv.output_shape(s);
@@ -525,10 +472,10 @@ class Compiler {
   /// r * s1 >= src_h, outside the source too). Taps land on a grid
   /// dilated by the projection stride s1; stored as an enlarged
   /// (k2-1)*s1+1 kernel with zeros off-grid since the kernels have no
-  /// dilation support. BN folding scales composite rows per timestep
-  /// exactly like the op's own weights.
+  /// dilation support. One unscaled copy: the consumer's epilogue applies
+  /// BN to the panel both terms accumulate into.
   void build_sunk_term(TermPlan& t, Conv2d& proj, Conv2d& cons,
-                       const BatchNormTT* bn, const Shape& src_s) {
+                       const Shape& src_s) {
     const std::int64_t s1 = proj.stride();
     const std::int64_t k2 = cons.kernel();
     const std::int64_t kc = (k2 - 1) * s1 + 1;
@@ -540,7 +487,6 @@ class Compiler {
     t.channels = src_c;
     t.geom = ConvGeometry{src_c, src_s[2], src_s[3], kc,
                           s1 * cons.stride(), cons.pad() * s1};
-    t.macs = o_c * t.geom.out_h() * t.geom.out_w() * src_c * k2 * k2;
     t.pgeom = ConvGeometry{src_c, src_s[2], src_s[3], 1, s1, 0};
     t.proj_c = mid_c;
     t.pw.assign(proj.weight().value.data(),
@@ -549,7 +495,7 @@ class Compiler {
     const float* w1 = proj.weight().value.data();  // (mid_c, src_c)
     const float* w2 = cons.weight().value.data();  // (o_c, in_c2, k2, k2)
     const std::int64_t ckk = src_c * kc * kc;
-    std::vector<float> base(static_cast<std::size_t>(o_c * ckk), 0.f);
+    t.wt.assign(static_cast<std::size_t>(ckk * o_c), 0.f);  // ((c,ky,kx), o)
     for (std::int64_t o = 0; o < o_c; ++o) {
       for (std::int64_t dy = 0; dy < k2; ++dy) {
         for (std::int64_t dx = 0; dx < k2; ++dx) {
@@ -559,32 +505,11 @@ class Compiler {
               acc += w2[((o * in_c2 + m) * k2 + dy) * k2 + dx] *
                      w1[m * src_c + c];
             }
-            base[static_cast<std::size_t>(
-                ((o * src_c + c) * kc + dy * s1) * kc + dx * s1)] = acc;
+            const std::int64_t r = (c * kc + dy * s1) * kc + dx * s1;
+            t.wt[static_cast<std::size_t>(r * o_c + o)] = acc;
           }
         }
       }
-    }
-    if (int8()) {
-      // Stash the single RAW composite base; build_weights_i8 quantizes
-      // it with the consumer's shared per-channel scales (the BN fold
-      // lives in the epilogue scale, so no per-timestep copies exist).
-      t.wd.push_back(std::move(base));
-      return;
-    }
-    const std::int64_t copies = bn != nullptr ? bn->max_timesteps() : 1;
-    for (std::int64_t tt = 0; tt < copies; ++tt) {
-      std::vector<float> wf(base);
-      if (bn != nullptr) {
-        BnFold f = bn_fold(*bn, tt);
-        for (std::int64_t o = 0; o < o_c; ++o) {
-          const float sc = f.scale[static_cast<std::size_t>(o)];
-          float* row = wf.data() + o * ckk;
-          for (std::int64_t r = 0; r < ckk; ++r) row[r] *= sc;
-        }
-      }
-      t.wd.push_back(wf);
-      t.wt.push_back(transpose_rows(wf.data(), o_c, ckk));
     }
   }
 
@@ -622,13 +547,13 @@ class Compiler {
       }
 
       // ASC edges add onto the main channel range (conv linearity turns
-      // the join into extra accumulation terms). In fold mode a 1x1
-      // no-bias projection into a Conv2d consumer is SUNK: composed into
+      // the join into extra accumulation terms). A 1x1 no-bias projection
+      // of a spiking source into a Conv2d consumer is SUNK: composed into
       // the consumer's main-segment weights so the term convolves the
       // original spiking source directly (see TermPlan::sunk). Otherwise
       // the projection becomes its own Conv op producing a dense term —
       // exactly the 1x1 conv the training graph runs inside
-      // assemble_input (and what the no-fold bitwise mode must match).
+      // assemble_input.
       for (auto& edge : blk.skip_edges()) {
         if (edge.dst != i || edge.type != SkipType::ASC) continue;
         const int src_val = node_vals[static_cast<std::size_t>(edge.src)];
@@ -641,11 +566,11 @@ class Compiler {
           auto* cons = dynamic_cast<Conv2d*>(node.op.get());
           const bool src_spiking =
               plan_.values[static_cast<std::size_t>(src_val)].spiking;
-          if (opts_.fold_bn && cons != nullptr && src_spiking &&
+          if (cons != nullptr && src_spiking &&
               proj->kernel() == 1 && !proj->has_bias() &&
               proj->out_channels() == node.main_in_c) {
             const Shape ss = shape(src_val);
-            build_sunk_term(t, *proj, *cons, bn, ss);
+            build_sunk_term(t, *proj, *cons, ss);
             t.value = src_val;
             t.spiking = true;
           } else {
@@ -724,7 +649,6 @@ class Compiler {
         b.rows = conv->out_channels();
         b.cols = conv->in_channels() * conv->kernel() * conv->kernel();
         b.transpose = true;
-        b.keep_dense = true;
         build_op_weights(op, b, bn);
         out_shape = conv->output_shape(op_in);
       } else if (auto* dw = dynamic_cast<DepthwiseConv2d*>(node.op.get())) {
@@ -824,32 +748,23 @@ class Compiler {
         const std::int64_t ckk = op.geom.col_rows();
         const std::int64_t in_img =
             op.geom.in_c * op.geom.in_h * op.geom.in_w;
-        // Sunk terms: the CSR path lowers each to its own composite
-        // patch matrix in a dedicated region after the output; the dense
-        // path instead materializes the raw 1x1 projection through the
-        // cols slot (before the main im2col overwrites it).
-        std::int64_t srows = 0, psub = 0;
+        // Sunk terms: the dense path materializes the raw 1x1
+        // projection through the cols slot (before the main im2col
+        // overwrites it).
+        std::int64_t psub = 0;
         for (const TermPlan& t : op.terms) {
           if (!t.sunk) continue;
-          srows = std::max(srows, t.geom.col_rows() * p);
           psub = std::max(psub, t.pgeom.col_rows() * t.pgeom.out_h() *
                                     t.pgeom.out_w());
         }
-        const std::int64_t event = p * op.out_c;
+        const std::int64_t event = p * op.out_c;  // packed (P, O) panel
+        // Dense: assembled + cols + the (O, P) output. Int8 adds the
+        // quantized patch rows (ckk*p int8 codes packed into float-sized
+        // slots) before its int32 panel, which is converted in place.
+        const std::int64_t q8 = int8() ? (ckk * p + 3) / 4 : 0;
         const std::int64_t dense =
-            in_img + std::max(ckk * p, psub) + op.out_c * p;
-        const std::int64_t csr =
-            in_img + ckk * op.out_c + op.out_c * p + srows;
-        if (int8()) {
-          // Int8 dispatch is packed (int32 panel, same float count as
-          // `event`) or dense: assembled + cols + quantized patch rows
-          // (ckk*p int8 codes packed into float-sized slots) + the int32
-          // panel converted in place.
-          const std::int64_t dense_i8 = in_img + std::max(ckk * p, psub) +
-                                        (ckk * p + 3) / 4 + op.out_c * p;
-          return std::max({event, dense, csr, dense_i8});
-        }
-        return std::max({event, dense, csr});
+            in_img + std::max(ckk * p, psub) + q8 + op.out_c * p;
+        return std::max(event, dense);
       }
       case OpKind::DwConv: {
         const std::int64_t p = op.geom.out_h() * op.geom.out_w();

@@ -5,17 +5,14 @@
 // flat infer::Plan at a FIXED input shape. Three passes, all ahead of
 // execution:
 //
-//   1. BN folding — each BatchNormTT's eval-mode scale/shift is folded
-//      into the preceding conv/linear weights and bias. BNTT has
-//      per-timestep parameters, so folding produces one weight copy per
-//      timestep (engine steps past t_max reuse the last copy, mirroring
-//      BNTT's wrap). `fold_bn = false` keeps a single weight copy and
-//      applies scale/shift in the epilogue instead — numerically
-//      identical to the training graph's eval BN (same expressions), at
-//      the cost of one extra multiply per output element; the folded mode
-//      distributes the scale into the weights, which reassociates the
-//      products and bounds the membrane difference by ~1e-6 relative
-//      (documented in DESIGN.md §5g, asserted at 1e-5 in infer_test).
+//   1. Weight lowering — each conv/linear keeps ONE raw weight copy
+//      (re-laid out for the event kernels) and each BatchNormTT becomes
+//      per-timestep epilogue scale/shift vectors, computed with the exact
+//      expressions of BatchNormTT's eval path so dense dispatch replays the
+//      training eval forward bit-for-bit (engine steps past t_max reuse
+//      the last vectors, mirroring BNTT's wrap). 1x1 ASC projections into
+//      a conv are sunk into one unscaled composite kernel over their
+//      spiking source (TermPlan::sunk).
 //   2. LIF/PLIF fusion — threshold-compare, soft reset, and refractory
 //      gating become the op's epilogue, executed in the same pass that
 //      writes the output's packed mask and dense mirror.
@@ -37,15 +34,9 @@ namespace snnskip::infer {
 struct QuantProfile;  // infer/quant.h — calibrated activation ranges
 
 struct CompileOptions {
-  /// Fold BN into weights (one copy per BNTT timestep). false: single
-  /// weight copy, scale/shift applied in the epilogue (bit-identical to
-  /// the training eval forward; used by the equivalence tests).
-  bool fold_bn = true;
-  /// Weight format (ISSUE 10). Int8 quantizes the RAW weights once
-  /// (per-output-channel symmetric) and moves the BNTT fold into the
-  /// epilogue's per-timestep dequant scale — one int8 copy instead of T
-  /// fp32 copies. Requires fold_bn (the int8 plan relies on ASC-sinking
-  /// for its packed path; the no-fold bitwise mode is fp32-only).
+  /// Weight format. Int8 quantizes the raw weights once
+  /// (per-output-channel symmetric) and multiplies the dequant step into
+  /// the epilogue's per-timestep BN scale.
   Precision precision = Precision::Fp32;
   /// Optional calibrated activation ranges for int8 plans. Ops whose
   /// inputs are all binary spikes quantize exactly (step 1.0) and ignore

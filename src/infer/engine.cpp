@@ -1,7 +1,6 @@
 #include "infer/engine.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
@@ -13,54 +12,12 @@
 #include "tensor/quant_kernels.h"
 #include "tensor/spike_kernels.h"
 #include "tensor/spike_packed.h"
-#include "tensor/workspace.h"
 #include "telemetry/telemetry.h"
-#include "util/runtime_env.h"
 
 namespace snnskip::infer {
 
-namespace {
-
-// Process-wide DEFAULTS only (ISSUE 7): seeded from the environment once,
-// adjusted by the deprecated InferExec shims, snapshotted by each Engine
-// at construction. Atomics because the shims may race with concurrent
-// Engine construction on other threads.
-struct DefaultCfg {
-  std::atomic<bool> packed;
-  std::atomic<float> threshold;
-  // The density threshold resolves through the kernel config so the tuning
-  // profile can move it; SNNSKIP_INFER_THRESHOLD is folded in there (the
-  // env var always beats the profile).
-  DefaultCfg()
-      : packed(env::get_bool("SNNSKIP_INFER_PACKED", true)),
-        threshold(kernel_config().infer_threshold) {}
-};
-
-DefaultCfg& default_cfg() {
-  static DefaultCfg c;
-  return c;
-}
-
-}  // namespace
-
 ExecOptions ExecOptions::defaults() {
-  ExecOptions o;
-  o.packed = default_cfg().packed.load(std::memory_order_relaxed);
-  o.threshold = default_cfg().threshold.load(std::memory_order_relaxed);
-  return o;
-}
-
-bool InferExec::packed_enabled() {
-  return default_cfg().packed.load(std::memory_order_relaxed);
-}
-float InferExec::threshold() {
-  return default_cfg().threshold.load(std::memory_order_relaxed);
-}
-void InferExec::set_packed_enabled(bool on) {
-  default_cfg().packed.store(on, std::memory_order_relaxed);
-}
-void InferExec::set_threshold(float t) {
-  default_cfg().threshold.store(t, std::memory_order_relaxed);
+  return ExecOptions{kernel_config().infer_threshold};
 }
 
 Engine::Engine(PlanPtr plan, const ExecOptions& opts)
@@ -71,7 +28,6 @@ Engine::Engine(PlanPtr plan, const ExecOptions& opts)
   ctr_spikes_ = "infer.spikes_popcount." + m;
   ctr_synops_ = "infer.synops." + m;
   ctr_packed_ = "infer.packed_layers." + m;
-  ctr_csr_ = "infer.csr_layers." + m;
   ctr_dense_ = "infer.dense_layers." + m;
   farena_.assign(static_cast<std::size_t>(plan_->float_arena), 0.f);
   warena_.assign(static_cast<std::size_t>(plan_->word_arena), 0u);
@@ -169,8 +125,8 @@ void Engine::write_input(const Tensor& x) {
           "infer::Engine::step: int8 plans require binary (0/1) spike "
           "inputs; encode analog frames before stepping");
     }
-    // Non-binary input (e.g. raw analog frames): dense mirror only; the
-    // nonzero count still feeds the CSR-vs-dense density gate.
+    // Non-binary input (e.g. raw analog frames): dense mirror only, so
+    // its consumers dispatch dense.
     pvalid_[static_cast<std::size_t>(iv)] = 0;
     popcnt_[static_cast<std::size_t>(iv)] =
         count_nonzero(x.data(), x.numel());
@@ -203,35 +159,17 @@ void Engine::exec_op(const OpPlan& op) {
   }
 }
 
-namespace {
-
-/// Term-input density decision shared by Conv and DwConv dispatch.
-struct Dispatch {
-  bool all_spiking = true;  ///< every term produces binary spikes
-  bool all_packed = true;   ///< ...and its packed mask is valid
-  double density = 1.0;
-};
-
-}  // namespace
-
-// Measures the op's input density from the terms' exact popcounts and
-// classifies the step's dispatch mode.
-static Dispatch classify(const Plan& plan, const OpPlan& op,
-                         const std::vector<std::int64_t>& popcnt,
-                         const std::vector<char>& pvalid) {
-  Dispatch d;
+bool Engine::packed_dispatch(const OpPlan& op) const {
   std::int64_t nnz = 0, elems = 0;
   for (const TermPlan& t : op.terms) {
     const std::size_t v = static_cast<std::size_t>(t.value);
-    d.all_spiking = d.all_spiking && t.spiking;
-    d.all_packed = d.all_packed && t.spiking && pvalid[v] != 0;
-    nnz += popcnt[v];
-    elems += plan.values[v].floats;
+    if (!t.spiking || pvalid_[v] == 0) return false;
+    nnz += popcnt_[v];
+    elems += plan_->values[v].floats;
   }
-  if (d.all_spiking && elems > 0) {
-    d.density = static_cast<double>(nnz) / static_cast<double>(elems);
-  }
-  return d;
+  return elems > 0 &&
+         static_cast<double>(nnz) / static_cast<double>(elems) <
+             static_cast<double>(opts_.threshold);
 }
 
 void Engine::assemble_image(const OpPlan& op, std::int64_t img, float* dst) {
@@ -258,24 +196,30 @@ void Engine::assemble_image(const OpPlan& op, std::int64_t img, float* dst) {
   }
 }
 
-void Engine::add_sunk_terms(const OpPlan& op, std::int64_t img,
-                            std::size_t wi, float* rows, float* outr) {
-  const std::int64_t p = op.geom.out_h() * op.geom.out_w();
+void Engine::sunk_into_assembled(const OpPlan& op, std::int64_t img,
+                                 float* assembled, float* cols) {
   for (const TermPlan& t : op.terms) {
     if (!t.sunk) continue;
     const ValuePlan& sv = val(t.value);
     const float* src = dense(t.value) + img * (sv.floats / sv.shape[0]);
-    const std::size_t twi = t.wd.size() <= 1 ? 0 : wi;
-    const std::int64_t tckk = t.geom.col_rows();
-    if (p < 16) {
-      im2row(t.geom, src, rows);
-      gemm_nt(op.out_c, p, tckk, 1.f, t.wd[twi].data(), rows, 1.f, outr);
-    } else {
-      im2col(t.geom, src, rows);
-      gemm(op.out_c, p, tckk, 1.f, t.wd[twi].data(), rows, 1.f, outr);
-    }
-    stats_.dense_macs += t.macs;
+    const std::int64_t pp = t.pgeom.out_h() * t.pgeom.out_w();
+    im2col(t.pgeom, src, cols);
+    gemm(t.proj_c, pp, t.pgeom.in_c, 1.f, t.pw.data(), cols, 1.f,
+         assembled + t.offset * pp);
+    stats_.dense_macs += t.proj_c * t.pgeom.in_c * pp;
   }
+}
+
+/// Floats of the dense conv path's cols slot: the main patch matrix or,
+/// if larger, a sunk projection's 1x1 patch matrix (op_scratch sizes the
+/// slot the same way).
+static std::int64_t cols_floats(const OpPlan& op) {
+  std::int64_t f = op.geom.col_rows() * op.geom.out_h() * op.geom.out_w();
+  for (const TermPlan& t : op.terms) {
+    if (!t.sunk) continue;
+    f = std::max(f, t.pgeom.col_rows() * t.pgeom.out_h() * t.pgeom.out_w());
+  }
+  return f;
 }
 
 void Engine::exec_conv(const OpPlan& op) {
@@ -285,15 +229,8 @@ void Engine::exec_conv(const OpPlan& op) {
   const std::int64_t o_c = op.out_c;
   const std::int64_t in_img = op.geom.in_c * op.geom.in_h * op.geom.in_w;
   const std::int64_t ckk = op.geom.col_rows();
-  const std::size_t wi =
-      op.wt.size() <= 1 ? 0 : static_cast<std::size_t>(op.copy_index(t_));
-  const float* wt = op.wt[wi].data();
 
-  const Dispatch d = classify(*plan_, op, popcnt_, pvalid_);
-  const bool sparse_ok =
-      d.all_spiking && d.density < static_cast<double>(opts_.threshold);
-
-  if (opts_.packed && d.all_packed && sparse_ok) {
+  if (packed_dispatch(op)) {
     ++stats_.packed_dispatches;
     Telemetry::count("infer.packed_layers");
     Telemetry::count(ctr_packed_.c_str());
@@ -308,56 +245,16 @@ void Engine::exec_conv(const OpPlan& op) {
         if (t.sunk) {
           // Sunk projection: composite kernel over the original spiking
           // source, same output grid, accumulated into the same panel.
-          const std::size_t twi =
-              t.wt.size() <= 1 ? 0 : static_cast<std::size_t>(wi);
           stats_.synops += spike_packed_conv2d_term(
-              t.geom, src_c, w, nullptr, t.wt[twi].data(), o_c, panel);
+              t.geom, src_c, w, nullptr, t.wt.data(), o_c, panel);
         } else {
           stats_.synops += spike_packed_conv2d_term(
               op.geom, src_c, w, t.chrow.empty() ? nullptr : t.chrow.data(),
-              wt, o_c, panel);
+              op.wt.data(), o_c, panel);
         }
       }
       epilogue(op, img, panel, /*so=*/1, /*sp=*/o_c);
     }
-    return;
-  }
-
-  if (sparse_ok) {
-    // CSR fallback: the training graph's event kernel on a per-image
-    // assembled input (the packed path's correctness baseline).
-    ++stats_.csr_dispatches;
-    Telemetry::count("infer.csr_layers");
-    Telemetry::count(ctr_csr_.c_str());
-    float* w_oihw = scratch_.data();
-    float* assembled = w_oihw + ckk * o_c;
-    float* outr = assembled + in_img;
-    const float* wptr;
-    if (!op.wd.empty()) {
-      wptr = op.wd[op.wd.size() <= 1 ? 0 : wi].data();
-    } else {
-      // Folded mode keeps only the transposed panel; rebuild OIHW here
-      // (non-default path — the packed kernels consume wt directly).
-      for (std::int64_t o = 0; o < o_c; ++o) {
-        for (std::int64_t r = 0; r < ckk; ++r) {
-          w_oihw[o * ckk + r] = wt[r * o_c + o];
-        }
-      }
-      wptr = w_oihw;
-    }
-    std::int64_t nnz = 0;
-    for (std::int64_t img = 0; img < n; ++img) {
-      assemble_image(op, img, assembled);
-      csr_.build(assembled, 1, in_img);
-      nnz += csr_.nnz();
-      spike_conv2d_forward(op.geom, csr_, wptr, nullptr, o_c, outr,
-                           Workspace::tls());
-      add_sunk_terms(op, img, wi, outr + o_c * p, outr);
-      epilogue(op, img, outr, /*so=*/p, /*sp=*/1);
-    }
-    stats_.synops += static_cast<std::int64_t>(std::llround(
-        static_cast<double>(op.macs) * static_cast<double>(nnz) /
-        static_cast<double>(n * in_img)));
     return;
   }
 
@@ -367,51 +264,25 @@ void Engine::exec_conv(const OpPlan& op) {
   stats_.dense_macs += op.macs;
   float* assembled = scratch_.data();
   float* cols = assembled + in_img;
-  // The cols region doubles as the sunk projections' 1x1 patch matrix
-  // (op_scratch sizes it to the max of both uses).
-  std::int64_t cols_f = ckk * p;
-  for (const TermPlan& t : op.terms) {
-    if (!t.sunk) continue;
-    cols_f = std::max(cols_f,
-                      t.pgeom.col_rows() * t.pgeom.out_h() * t.pgeom.out_w());
-  }
-  float* outr = cols + cols_f;
+  float* outr = cols + cols_floats(op);
   for (std::int64_t img = 0; img < n; ++img) {
     assemble_image(op, img, assembled);
-    // Dense dispatch undoes the sinking: the composite kernel's zero
-    // rows are free on the event path but real GEMM work here, so run
-    // the raw 1x1 projection and ADD it into the assembled input — the
-    // training graph's exact compute shape (one GEMM over the sum).
-    for (const TermPlan& t : op.terms) {
-      if (!t.sunk) continue;
-      const ValuePlan& sv = val(t.value);
-      const float* src = dense(t.value) + img * (sv.floats / sv.shape[0]);
-      const std::int64_t pp = t.pgeom.out_h() * t.pgeom.out_w();
-      im2col(t.pgeom, src, cols);
-      gemm(t.proj_c, pp, t.pgeom.in_c, 1.f, t.pw.data(), cols, 1.f,
-           assembled + t.offset * pp);
-      stats_.dense_macs += t.proj_c * t.pgeom.in_c * pp;
-    }
+    sunk_into_assembled(op, img, assembled, cols);
     // Post-assembly, post-projection: exactly what the int8 dense path
     // will quantize — the range the calibration sweep needs.
     record_amax(assembled, in_img);
-    if (!op.wd.empty() && p < 16) {
+    if (p < 16) {
       // Few-pixel outputs (deep stages): gemm's 16-column microkernel
       // degrades to scalar edge loops, so lower to weight rows x
       // contiguous patch rows instead. Per-element summation stays in
-      // ascending-k order either way, so the no-fold plan remains
-      // bitwise equal to the training eval forward.
+      // ascending-k order either way, so dense dispatch remains bitwise
+      // equal to the training eval forward.
       im2row(op.geom, assembled, cols);
-      gemm_nt(o_c, p, ckk, 1.f, op.wd[op.wd.size() <= 1 ? 0 : wi].data(),
-              cols, 0.f, outr);
-    } else if (!op.wd.empty()) {
+      gemm_nt(o_c, p, ckk, 1.f, op.wd.data(), cols, 0.f, outr);
+    } else {
       // The exact im2col + GEMM the training graph runs.
       im2col(op.geom, assembled, cols);
-      gemm(o_c, p, ckk, 1.f, op.wd[op.wd.size() <= 1 ? 0 : wi].data(), cols,
-           0.f, outr);
-    } else {
-      im2col(op.geom, assembled, cols);
-      gemm_tn(o_c, p, ckk, 1.f, wt, cols, 0.f, outr);
+      gemm(o_c, p, ckk, 1.f, op.wd.data(), cols, 0.f, outr);
     }
     epilogue(op, img, outr, /*so=*/p, /*sp=*/1);
   }
@@ -424,15 +295,9 @@ void Engine::exec_dwconv(const OpPlan& op) {
   const std::int64_t c = op.geom.in_c;
   const std::int64_t k = op.geom.kernel;
   const std::int64_t in_img = c * op.geom.in_h * op.geom.in_w;
-  const std::size_t wi =
-      op.wt.size() <= 1 ? 0 : static_cast<std::size_t>(op.copy_index(t_));
-  const float* w = op.wt[wi].data();  // (C, K, K) bank, folded or raw
+  const float* w = op.wt.data();  // (C, K, K) bank
 
-  const Dispatch d = classify(*plan_, op, popcnt_, pvalid_);
-  const bool sparse_ok =
-      d.all_spiking && d.density < static_cast<double>(opts_.threshold);
-
-  if (opts_.packed && d.all_packed && sparse_ok) {
+  if (packed_dispatch(op)) {
     ++stats_.packed_dispatches;
     Telemetry::count("infer.packed_layers");
     Telemetry::count(ctr_packed_.c_str());
@@ -449,26 +314,6 @@ void Engine::exec_dwconv(const OpPlan& op) {
       }
       epilogue(op, img, acc, /*so=*/p, /*sp=*/1);
     }
-    return;
-  }
-
-  if (sparse_ok) {
-    ++stats_.csr_dispatches;
-    Telemetry::count("infer.csr_layers");
-    Telemetry::count(ctr_csr_.c_str());
-    float* assembled = scratch_.data();
-    float* outr = assembled + in_img;
-    std::int64_t nnz = 0;
-    for (std::int64_t img = 0; img < n; ++img) {
-      assemble_image(op, img, assembled);
-      csr_.build(assembled, 1, in_img);
-      nnz += csr_.nnz();
-      spike_depthwise_forward(op.geom, csr_, w, nullptr, outr);
-      epilogue(op, img, outr, /*so=*/p, /*sp=*/1);
-    }
-    stats_.synops += static_cast<std::int64_t>(std::llround(
-        static_cast<double>(op.macs) * static_cast<double>(nnz) /
-        static_cast<double>(n * in_img)));
     return;
   }
 
@@ -524,7 +369,7 @@ void Engine::exec_linear(const OpPlan& op) {
   float* outr = scratch_.data();  // (N, O)
   // out(N, O) = x(N, I) * W(O, I)^T — Linear::forward's dense GEMM; the
   // bias moves to the epilogue.
-  gemm_nt(n, o_f, in_f, 1.f, dense(t.value), op.wt[0].data(), 0.f, outr);
+  gemm_nt(n, o_f, in_f, 1.f, dense(t.value), op.wt.data(), 0.f, outr);
   for (std::int64_t img = 0; img < n; ++img) {
     epilogue(op, img, outr + img * o_f, /*so=*/1, /*sp=*/1);
   }
@@ -532,17 +377,16 @@ void Engine::exec_linear(const OpPlan& op) {
 
 // ---- int8 execution (ISSUE 10) --------------------------------------------
 //
-// Two dispatch modes (no CSR — the CSR kernels are fp32-only and exist as
-// the packed path's correctness baseline, which the int8 plan doesn't
-// need): the packed mode accumulates binary events into an int32 panel
-// with the int8 event kernels — pure integer adds, exact, and the
-// epilogue's per-channel scale (S[o] * bn_scale_t[o]) dequantizes in one
-// multiply. The dense mode assembles the fp32 input exactly like the
-// fp32 engine (including sunk-projection rematerialization through the
-// raw 1x1 weights), quantizes it with the op's compile-time step, runs
-// the int8 GEMM into int32, widens in place, and hands the epilogue
-// ascale = in_scale. When every input term is binary (in_scale == 1.0)
-// the quantization is lossless and both modes are bitwise-equal.
+// The same two dispatch modes as fp32: the packed mode accumulates binary
+// events into an int32 panel with the int8 event kernels — pure integer
+// adds, exact, and the epilogue's per-channel scale (S[o] * bn_scale_t[o])
+// dequantizes in one multiply. The dense mode assembles the fp32 input
+// exactly like the fp32 engine (including sunk-projection
+// rematerialization through the raw 1x1 weights), quantizes it with the
+// op's compile-time step, runs the int8 GEMM into int32, widens in place,
+// and hands the epilogue ascale = in_scale. When every input term is
+// binary (in_scale == 1.0) the quantization is lossless and both modes are
+// bitwise-equal.
 
 void Engine::exec_conv_i8(const OpPlan& op) {
   const ValuePlan& ov = val(op.out);
@@ -552,11 +396,7 @@ void Engine::exec_conv_i8(const OpPlan& op) {
   const std::int64_t in_img = op.geom.in_c * op.geom.in_h * op.geom.in_w;
   const std::int64_t ckk = op.geom.col_rows();
 
-  const Dispatch d = classify(*plan_, op, popcnt_, pvalid_);
-  const bool sparse_ok =
-      d.all_spiking && d.density < static_cast<double>(opts_.threshold);
-
-  if (opts_.packed && d.all_packed && sparse_ok) {
+  if (packed_dispatch(op)) {
     ++stats_.packed_dispatches;
     Telemetry::count("infer.packed_layers");
     Telemetry::count(ctr_packed_.c_str());
@@ -592,12 +432,7 @@ void Engine::exec_conv_i8(const OpPlan& op) {
   stats_.dense_macs += op.macs;
   float* assembled = scratch_.data();
   float* cols = assembled + in_img;
-  std::int64_t cols_f = ckk * p;
-  for (const TermPlan& t : op.terms) {
-    if (!t.sunk) continue;
-    cols_f = std::max(cols_f,
-                      t.pgeom.col_rows() * t.pgeom.out_h() * t.pgeom.out_w());
-  }
+  const std::int64_t cols_f = cols_floats(op);
   std::int8_t* q8 = reinterpret_cast<std::int8_t*>(cols + cols_f);
   const std::int64_t qf = (ckk * p + 3) / 4;  // int8 codes, float slots
   std::int32_t* ipanel =
@@ -606,19 +441,7 @@ void Engine::exec_conv_i8(const OpPlan& op) {
   const float inv = 1.f / op.in_scale;
   for (std::int64_t img = 0; img < n; ++img) {
     assemble_image(op, img, assembled);
-    // Sunk projections rematerialize through the raw fp32 1x1 weights,
-    // exactly like the fp32 dense path (the composite kernel's zero rows
-    // are free for event kernels but real work for a GEMM).
-    for (const TermPlan& t : op.terms) {
-      if (!t.sunk) continue;
-      const ValuePlan& sv = val(t.value);
-      const float* src = dense(t.value) + img * (sv.floats / sv.shape[0]);
-      const std::int64_t pp = t.pgeom.out_h() * t.pgeom.out_w();
-      im2col(t.pgeom, src, cols);
-      gemm(t.proj_c, pp, t.pgeom.in_c, 1.f, t.pw.data(), cols, 1.f,
-           assembled + t.offset * pp);
-      stats_.dense_macs += t.proj_c * t.pgeom.in_c * pp;
-    }
+    sunk_into_assembled(op, img, assembled, cols);
     im2row(op.geom, assembled, cols);
     quantize_int8(ckk * p, cols, inv, q8);
     gemm_s8s32_nt(o_c, p, ckk, op.wq8d.data(), q8, ipanel);
@@ -636,11 +459,7 @@ void Engine::exec_dwconv_i8(const OpPlan& op) {
   const std::int64_t in_img = c * op.geom.in_h * op.geom.in_w;
   const std::int8_t* bank = op.wq8t.data();  // (C, K, K) int8 bank
 
-  const Dispatch d = classify(*plan_, op, popcnt_, pvalid_);
-  const bool sparse_ok =
-      d.all_spiking && d.density < static_cast<double>(opts_.threshold);
-
-  if (opts_.packed && d.all_packed && sparse_ok) {
+  if (packed_dispatch(op)) {
     ++stats_.packed_dispatches;
     Telemetry::count("infer.packed_layers");
     Telemetry::count(ctr_packed_.c_str());
@@ -888,11 +707,11 @@ void Engine::epilogue(const OpPlan& op, std::int64_t img, const float* acc,
     } else {
       for (std::int64_t o = 0; o < o_c; ++o) {
         const float* ab = acc + o * so;
+        const float s = sc != nullptr ? ascale * sc[o] : 1.f;
         const float b = bias[o];
         for (std::int64_t j = 0; j < p; ++j) {
           const std::int64_t idx = o * p + j;
-          const float a = ab[j * sp];
-          const float in = (sc != nullptr ? (ascale * sc[o]) * a : a) + b;
+          const float in = s * ab[j * sp] + b;
           // Lif::forward's exact update: leaky integrate, refractory gate,
           // threshold compare, soft reset.
           const float vt = op.beta * m[idx] + in;
@@ -932,12 +751,11 @@ void Engine::epilogue(const OpPlan& op, std::int64_t img, const float* acc,
   }
   for (std::int64_t o = 0; o < o_c; ++o) {
     const float* ab = acc + o * so;
+    const float s = sc != nullptr ? ascale * sc[o] : 1.f;
     const float b = bias[o];
     for (std::int64_t j = 0; j < p; ++j) {
-      const std::int64_t idx = o * p + j;
-      const float a = ab[j * sp];
-      const float in = (sc != nullptr ? (ascale * sc[o]) * a : a) + b;
-      dst[idx] = op.epi == Epi::Relu ? (in > 0.f ? in : 0.f) : in;
+      const float in = s * ab[j * sp] + b;
+      dst[o * p + j] = op.epi == Epi::Relu ? (in > 0.f ? in : 0.f) : in;
     }
   }
 }

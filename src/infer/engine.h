@@ -8,40 +8,31 @@
 // performs zero heap allocations on the default (packed) path
 // (tests/infer_test.cpp pins this with Workspace heap-alloc counters).
 //
-// Per conv/depthwise op, dispatch picks one of three modes each step from
+// Per conv/depthwise op, dispatch picks one of two modes each step from
 // the measured input density (exact, via the packed masks' popcounts):
 //
 //   Packed  bit-packed event kernels (tensor/spike_packed.h). Requires
-//           every input term to carry a valid packed mask, the packed
-//           path to be enabled, and density < threshold. Skip joins run
-//           directly on the source masks — ADD joins accumulate each
-//           term into the same output panel (conv is linear), concat
-//           joins select weight rows through the term's chrow map — so
-//           no assembled input is ever materialized.
-//   CSR     the training graph's event kernels (spike_conv2d_forward et
-//           al.) on a per-image assembled input. Taken when the packed
-//           path is disabled (SNNSKIP_INFER_PACKED=0) but the density
-//           gate still passes — this is the apples-to-apples baseline
-//           the packed path is benchmarked against.
+//           every input term to carry a valid packed mask and density <
+//           threshold. Skip joins run directly on the source masks — ADD
+//           joins accumulate each term into the same output panel (conv
+//           is linear), concat joins select weight rows through the
+//           term's chrow map — so no assembled input is ever materialized.
 //   Dense   assembled input + im2col + GEMM, for dense inputs (analog
 //           values, projection outputs) or high firing rates.
 //
-// Every mode feeds the same fused epilogue: BN scale/shift (folded into
-// the weights, or applied here in no-fold mode), bias, and the LIF/PLIF
-// threshold-compare / soft-reset / refractory update, which writes the
-// output's dense mirror, its packed mask, and the exact spike popcount in
-// one pass.
+// Both modes feed the same fused epilogue: BN scale/shift, bias, and the
+// LIF/PLIF threshold-compare / soft-reset / refractory update, which
+// writes the output's dense mirror, its packed mask, and the exact spike
+// popcount in one pass.
 //
 // Runtime configuration (ISSUE 7): dispatch switches are PER ENGINE.
 // Each Engine snapshots an ExecOptions at construction and never consults
 // process-global state afterwards, so concurrent engines with different
 // options (multi-tenant serving: one model latency-tuned packed, another
-// forced to the CSR baseline) cannot perturb each other. The environment
-// only seeds the process-wide *defaults*, read once through
-// util/runtime_env:
-//   SNNSKIP_INFER_PACKED=0          default packed off (CSR baseline)
-//   SNNSKIP_INFER_THRESHOLD=<frac>  default density cutoff for the event
-//                                   paths (0.25, valid range [0, 1])
+// forced dense) cannot perturb each other. The default threshold comes
+// from the kernel config (tensor/kernel_config.h), where
+// SNNSKIP_INFER_THRESHOLD=<frac> (0.25, valid range [0, 1]) beats the
+// tuning profile.
 
 #include <cstdint>
 #include <string>
@@ -49,45 +40,31 @@
 
 #include "infer/plan.h"
 #include "metrics/energy.h"
-#include "tensor/spike_csr.h"
 #include "tensor/tensor.h"
 
 namespace snnskip::infer {
 
 /// Per-engine dispatch configuration. `ExecOptions{}` gives the compiled-in
-/// defaults; `ExecOptions::defaults()` gives the process-wide defaults
-/// (environment-seeded once, adjustable via the deprecated InferExec
-/// shims), which is what `Engine(plan)` uses.
+/// default; `ExecOptions::defaults()` gives the kernel-config default,
+/// which is what `Engine(plan)` uses.
 struct ExecOptions {
-  /// Bit-packed event kernels when density permits (false: CSR baseline).
-  bool packed = true;
-  /// Input density below which an event path is taken, in [0, 1].
+  /// Input density below which the packed event path is taken, in [0, 1]
+  /// (0 forces dense dispatch everywhere).
   float threshold = 0.25f;
 
   static ExecOptions defaults();
-};
-
-/// DEPRECATED process-global switches, kept as shims for existing callers:
-/// the setters adjust the process-wide *defaults* consumed by engines
-/// constructed afterwards — they no longer affect live engines. New code
-/// should pass ExecOptions to the Engine constructor instead.
-class InferExec {
- public:
-  static bool packed_enabled();
-  static float threshold();
-  static void set_packed_enabled(bool on);
-  static void set_threshold(float t);
 };
 
 /// Per-engine execution statistics (reset with Engine::reset_stats).
 struct ExecStats {
   std::int64_t steps = 0;
   std::int64_t packed_dispatches = 0;  ///< ops run on the packed kernels
-  std::int64_t csr_dispatches = 0;     ///< ops run on the CSR fallback
+  /// Always 0: the engine has no CSR mode any more. Kept only because
+  /// perfbench/src/probes.cpp still sums it into its dispatch total.
+  std::int64_t csr_dispatches = 0;
   std::int64_t dense_dispatches = 0;   ///< ops run dense (GEMM / loops)
   std::int64_t spikes = 0;   ///< exact spike count (packed popcounts)
-  std::int64_t synops = 0;   ///< accumulates on event paths (exact for
-                             ///< packed; density * MACs estimate for CSR)
+  std::int64_t synops = 0;   ///< exact accumulates on the packed path
   std::int64_t dense_macs = 0;  ///< MACs charged to dense-dispatched ops
 
   /// Energy proxy: ac_pj per event-path accumulate, mac_pj per dense MAC
@@ -130,7 +107,7 @@ class Engine {
   /// records each weight op's per-input absmax into `amax` (one slot per
   /// plan op, max-merged across images/steps) every time the op runs a
   /// dense dispatch — which is every step when the engine is built with
-  /// {packed = false, threshold = 0}. The vector must outlive the engine
+  /// {threshold = 0}. The vector must outlive the engine
   /// or be cleared with nullptr; it must be sized to plan().ops.size().
   void set_calibration_sink(std::vector<float>* amax) { calib_ = amax; }
 
@@ -148,7 +125,7 @@ class Engine {
   void exec_linear(const OpPlan& op);
   // Int8-plan twins (ISSUE 10): packed int8 event kernels (int32 panel)
   // or dense int8 GEMM (quantize assembled input, int8xint8->int32,
-  // dequant in the epilogue). There is no CSR mode for int8 plans.
+  // dequant in the epilogue).
   void exec_conv_i8(const OpPlan& op);
   void exec_dwconv_i8(const OpPlan& op);
   void exec_linear_i8(const OpPlan& op);
@@ -158,20 +135,22 @@ class Engine {
   void exec_neuron(const OpPlan& op);
   void exec_copy(const OpPlan& op);
 
+  /// True when every input term carries a valid packed mask and their
+  /// measured density is below the threshold: run the event kernels.
+  bool packed_dispatch(const OpPlan& op) const;
+
   /// Dense-assemble one image's op input (main copy, ADD-join axpys,
   /// concat gathers — the training graph's assemble_input, bitwise).
-  /// Sunk projection terms are excluded (own geometry; see below).
+  /// Sunk projection terms are excluded: dense dispatch re-materializes
+  /// them through the raw 1x1 projection (see sunk_into_assembled).
   void assemble_image(const OpPlan& op, std::int64_t img, float* dst);
 
-  /// Accumulate every sunk projection term (composite conv over its own
-  /// source) into the dense (O, P) accumulator `outr`, lowering each via
-  /// a patch matrix built in `rows`. CSR dispatch only: the packed mode
-  /// accumulates sunk events into the panel directly, and the dense mode
-  /// re-materializes the raw 1x1 projection into the assembled input
-  /// instead (the composite kernel's zero rows are free for event
-  /// kernels but real GEMM work).
-  void add_sunk_terms(const OpPlan& op, std::int64_t img, std::size_t wi,
-                      float* rows, float* outr);
+  /// Dense dispatch undoes ASC sinking: run each sunk term's raw 1x1
+  /// projection over its source and ADD it into the assembled input
+  /// (the composite kernel's zero rows are free for event kernels but
+  /// real GEMM work). `cols` is the patch-matrix scratch.
+  void sunk_into_assembled(const OpPlan& op, std::int64_t img,
+                           float* assembled, float* cols);
 
   /// Fused epilogue: scale/bias (+LIF or ReLU) over the accumulator of
   /// one image, writing the output's dense mirror, packed mask bits, and
@@ -194,15 +173,14 @@ class Engine {
   // concurrent engines serving different models never bleed into one
   // aggregate (the unprefixed infer.* keys keep the process-wide totals).
   std::string ctr_steps_, ctr_spikes_, ctr_synops_;
-  std::string ctr_packed_, ctr_csr_, ctr_dense_;
+  std::string ctr_packed_, ctr_dense_;
   std::vector<float> farena_;          // shared value dense mirrors
   std::vector<std::uint64_t> warena_;  // shared packed masks
   std::vector<float> sarena_;          // persistent neuron state
   std::vector<float> scratch_;         // per-op scratch high-water block
   std::vector<std::int64_t> popcnt_;   // per value: exact nonzero count
   std::vector<char> pvalid_;           // per value: packed mask is valid
-  SpikeCsr csr_;                       // CSR fallback (capacity reused)
-  std::int64_t t_ = 0;                 // timestep (BNTT copy selection)
+  std::int64_t t_ = 0;                 // timestep (BNTT vector selection)
   ExecStats stats_;
   std::vector<float>* calib_ = nullptr;  // per-op input absmax sink
   std::size_t cur_op_ = 0;               // op index for the sink slot

@@ -4,8 +4,8 @@
 // compile() (infer/compile.h) walks a trained Network once and lowers it
 // into this flat program: a value table (every intermediate tensor, with
 // its liveness interval and preassigned arena offset) and an op list
-// (every layer, with BatchNormTT already folded and the LIF/PLIF update
-// fused into the op's epilogue). The split mirrors hannk's
+// (every layer, with BatchNormTT and the LIF/PLIF update fused into the
+// op's epilogue). The split mirrors hannk's
 // graph-construction / execute() separation: all shape inference, weight
 // re-layout, and buffer planning happens here, so the Engine's per-step
 // loop is a dumb interpreter that never allocates.
@@ -36,12 +36,11 @@
 
 namespace snnskip::infer {
 
-/// Weight numeric format of a compiled plan (ISSUE 10). Int8 stores ONE
-/// per-output-channel symmetric int8 weight copy per op and absorbs the
-/// per-timestep BNTT fold into the epilogue's requantization scale
-/// (scale_t[o] = S[o] * bn_scale_t[o]) — versus one fp32 copy per
-/// timestep in folded fp32 mode, the ~4x-per-copy x T-copies memory win
-/// that motivated the format (DESIGN.md §5k).
+/// Weight numeric format of a compiled plan. Both formats store ONE weight
+/// copy per op and apply the per-timestep BNTT scale/shift in the
+/// epilogue (DESIGN.md §5g); int8 additionally quantizes that copy per
+/// output channel and multiplies the dequant step into the epilogue scale
+/// (scale_t[o] = S[o] * bn_scale_t[o], DESIGN.md §5k).
 enum class Precision : std::uint8_t { Fp32, Int8 };
 
 inline const char* precision_name(Precision p) {
@@ -67,7 +66,7 @@ enum class OpKind : std::uint8_t {
 };
 
 /// Fused epilogue applied to the op's accumulator in the same pass that
-/// writes the output value (BN scale/shift folded in either way).
+/// writes the output value (BN scale/shift applied first).
 enum class Epi : std::uint8_t { None, Lif, Relu };
 
 /// One input source of a Conv/DwConv op.
@@ -89,22 +88,21 @@ struct TermPlan {
   /// Producer emits a packed spike mask (event path eligible).
   bool spiking = false;
 
-  // ASC-projection sinking (fold mode). conv(proj(s)) with a 1x1 no-bias
-  // projection is itself a convolution over the original SPIKING source
-  // s, so the compiler composes the projection into the consumer's
-  // main-segment weights: taps land on a grid dilated by the projection
-  // stride, emulated as an enlarged (k-1)*s+1 kernel whose off-grid rows
-  // are zero (the event kernels have no dilation support; zero rows only
-  // cost event-proportional accumulates). Without sinking the
-  // projection's analog output would force the consumer dense every
-  // step — the single biggest cost on ResNet-shaped stacks at low
-  // density. A sunk term carries its own geometry and per-timestep
-  // weight copies; `value` is the projection's input.
+  // ASC-projection sinking. conv(proj(s)) with a 1x1 no-bias projection
+  // is itself a convolution over the original SPIKING source s, so the
+  // compiler composes the projection into the consumer's main-segment
+  // weights: taps land on a grid dilated by the projection stride,
+  // emulated as an enlarged (k-1)*s+1 kernel whose off-grid rows are zero
+  // (the event kernels have no dilation support; zero rows only cost
+  // event-proportional accumulates). Without sinking the projection's
+  // analog output would force the consumer dense every step — the single
+  // biggest cost on ResNet-shaped stacks at low density. A sunk term
+  // carries its own geometry and one unscaled composite copy (the
+  // consumer's epilogue applies BN to the summed panel); `value` is the
+  // projection's input.
   bool sunk = false;
-  ConvGeometry geom{};                 ///< composite geometry over source
-  std::vector<std::vector<float>> wt;  ///< per-t ((c,ky,kx), o) panels
-  std::vector<std::vector<float>> wd;  ///< per-t (o, ckk) rows (CSR path)
-  std::int64_t macs = 0;  ///< true-tap dense-equivalent MACs (accounting)
+  ConvGeometry geom{};     ///< composite geometry over source
+  std::vector<float> wt;   ///< ((c,ky,kx), o) composite panel (fp32 plans)
   // Dense-dispatch route: the composite kernel's zero rows are free on
   // the event path but real GEMM work when dense, so at dense dispatch
   // the engine instead materializes the projection into the assembled
@@ -117,9 +115,9 @@ struct TermPlan {
   /// Int8 plans: the composite kernel quantized with the CONSUMER's
   /// per-output-channel scales (shared S[o] over own + sunk rows, so one
   /// int32 panel dequantizes uniformly), transposed ((c,ky,kx), o) for
-  /// the packed event kernel. `wt`/`wd` stay empty — the int8 engine has
-  /// no CSR mode, and dense dispatch re-materializes the raw fp32 1x1
-  /// projection (`pw`) exactly like the fp32 engine.
+  /// the packed event kernel. `wt` is then empty — dense dispatch
+  /// re-materializes the raw fp32 1x1 projection (`pw`) exactly like the
+  /// fp32 engine.
   std::vector<std::int8_t> wq8;
 };
 
@@ -149,18 +147,18 @@ struct OpPlan {
   std::int64_t pool_kernel = 0, pool_stride = 0;
   bool pool_ceil = false;
 
-  // Weights. `wt[i]` is the transposed ((c,ky,kx), o) panel the event
-  // kernels consume; DwConv stores its (C, K, K) bank here unchanged;
-  // Linear stores (O, I) row-major. With BN folding there is one copy per
-  // BNTT timestep (weights differ per t); without, a single copy plus
-  // per-timestep epilogue scale. For convs `wd` additionally keeps the
-  // (O, C*K*K) row-major layout (folded per-timestep, or the single raw
-  // copy in no-fold mode) so the dense and CSR dispatches run the exact
-  // GEMM / event kernel the training graph runs.
-  std::vector<std::vector<float>> wt;
-  std::vector<std::vector<float>> wd;
-  std::vector<std::vector<float>> bias;   ///< folded bias/shift per copy
-  std::vector<std::vector<float>> scale;  ///< no-fold mode: BN scale per t
+  // Weights: ONE raw copy, the BNTT transform lives in the epilogue.
+  // `wt` is the transposed ((c,ky,kx), o) panel the packed event kernels
+  // consume; DwConv stores its (C, K, K) bank here unchanged; Linear
+  // stores (O, I) row-major. Convs additionally keep the (O, C*K*K)
+  // row-major layout in `wd` so dense dispatch runs the exact GEMM the
+  // training graph runs. `scale`/`bias` hold one epilogue vector per BNTT
+  // timestep; fp32 plans leave `scale` empty for ops without BN
+  // (projections, the head linear, standalone neurons).
+  std::vector<float> wt;
+  std::vector<float> wd;
+  std::vector<std::vector<float>> bias;   ///< BN shift (+ layer bias) per t
+  std::vector<std::vector<float>> scale;  ///< BN scale per t
 
   // Int8 plans (Plan::precision == Precision::Int8): ONE quantized weight
   // copy (per-output-channel symmetric, S[o] = row absmax / 127, shared
@@ -169,8 +167,8 @@ struct OpPlan {
   // (C, K, K) bank); `wq8d` keeps the (O, CKK) rows for the dense int8
   // GEMM (Linear: the (O, I) rows). `scale` then holds the DEQUANT
   // scales per timestep (S[o] * bn_scale_t[o]) and `bias` the per-t
-  // shifts — the same epilogue mechanism as fp32 no-fold mode, which is
-  // what keeps one int8 copy sufficient across all BNTT timesteps.
+  // shifts — the same epilogue mechanism as fp32 plans, which is what
+  // keeps one weight copy sufficient across all BNTT timesteps.
   std::vector<std::int8_t> wq8t;
   std::vector<std::int8_t> wq8d;
   /// Int8 dense dispatch: the input quantization STEP (dequant
@@ -190,7 +188,8 @@ struct OpPlan {
 
   std::int64_t macs = 0;  ///< dense MACs per step (energy accounting)
 
-  /// Weight/bias copy for engine timestep `t` (BNTT wrap semantics).
+  /// Epilogue scale/bias index for engine timestep `t` (BNTT wrap
+  /// semantics: steps past the last BNTT timestep reuse its vectors).
   std::int64_t copy_index(std::int64_t t) const {
     const auto n = static_cast<std::int64_t>(bias.size());
     return n <= 1 ? 0 : (t < n ? t : n - 1);
@@ -203,7 +202,6 @@ struct Plan {
   Shape output_shape;
   int input_value = 0;
   int output_value = -1;
-  bool bn_folded = true;
   Precision precision = Precision::Fp32;
 
   std::vector<ValuePlan> values;
@@ -214,26 +212,25 @@ struct Plan {
   std::int64_t state_arena = 0;    ///< floats, persistent neuron state
   std::int64_t scratch_floats = 0; ///< per-op scratch high-water
 
-  /// Total bytes of weight payload (all copies, fp32 and int8, including
-  /// sunk-term composites, biases, and scales) — the memory-footprint
-  /// accounting behind the int8 acceptance gate (engine weight memory
-  /// <= 0.30x of the fp32 plan on ResNet-18S).
+  /// Total bytes of weight payload (fp32 and int8, including sunk-term
+  /// composites, biases, and scales) — the memory-footprint accounting
+  /// behind the int8 acceptance gate (engine weight memory <= 0.30x of
+  /// the fp32 plan on ResNet-18S).
   std::int64_t weight_bytes() const {
     std::int64_t b = 0;
-    auto fv = [&b](const std::vector<std::vector<float>>& vv) {
-      for (const auto& v : vv) b += static_cast<std::int64_t>(v.size()) * 4;
+    auto f32 = [&b](const std::vector<float>& v) {
+      b += static_cast<std::int64_t>(v.size()) * 4;
     };
     for (const OpPlan& op : ops) {
-      fv(op.wt);
-      fv(op.wd);
-      fv(op.bias);
-      fv(op.scale);
+      f32(op.wt);
+      f32(op.wd);
+      for (const auto& v : op.bias) f32(v);
+      for (const auto& v : op.scale) f32(v);
       b += static_cast<std::int64_t>(op.wq8t.size());
       b += static_cast<std::int64_t>(op.wq8d.size());
       for (const TermPlan& t : op.terms) {
-        fv(t.wt);
-        fv(t.wd);
-        b += static_cast<std::int64_t>(t.pw.size()) * 4;
+        f32(t.wt);
+        f32(t.pw);
         b += static_cast<std::int64_t>(t.wq8.size());
       }
     }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
 #include <future>
 
 #include "parallel/thread_pool.h"
@@ -10,6 +11,28 @@ namespace snnskip {
 
 namespace {
 std::atomic<std::size_t> g_chunk_override{0};
+
+/// Run the caller's own chunk, then wait for EVERY pooled chunk before
+/// rethrowing the first exception: pooled chunks reference the caller's
+/// frame (the body, the partials), so unwinding while one still runs would
+/// free what it is using.
+template <typename F>
+void run_and_join(F&& own_chunk, std::vector<std::future<void>>& futures) {
+  std::exception_ptr err;
+  try {
+    own_chunk();
+  } catch (...) {
+    err = std::current_exception();
+  }
+  for (auto& f : futures) {
+    try {
+      f.get();
+    } catch (...) {
+      if (!err) err = std::current_exception();
+    }
+  }
+  if (err) std::rethrow_exception(err);
+}
 }  // namespace
 
 void set_parallel_chunk_override(std::size_t k) {
@@ -65,8 +88,7 @@ void parallel_for_range(
     if (b >= e) break;
     futures.push_back(pool.submit([&body, b, e] { body(b, e); }));
   }
-  body(begin, std::min(end, begin + chunk));
-  for (auto& f : futures) f.get();  // rethrows worker exceptions
+  run_and_join([&] { body(begin, std::min(end, begin + chunk)); }, futures);
 }
 
 double parallel_reduce_sum(std::size_t begin, std::size_t end,
@@ -105,8 +127,7 @@ double parallel_reduce_sum(std::size_t begin, std::size_t end,
     for (std::size_t c = 1; c < chunks; ++c) {
       futures.push_back(pool.submit([&run_chunk, c] { run_chunk(c); }));
     }
-    run_chunk(0);
-    for (auto& fut : futures) fut.get();
+    run_and_join([&] { run_chunk(0); }, futures);
   }
 
   // Merge in fixed chunk order => bitwise-deterministic result.

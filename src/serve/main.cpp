@@ -152,6 +152,9 @@ int run(int argc, char** argv) {
     // only prints stats and watches for shutdown.
     SocketServer transport(server, opts);
     std::printf("serving on 127.0.0.1:%d\n", transport.port());
+    // Supervisors read this line to learn the ephemeral port; stdout is
+    // block-buffered on a pipe, so push it out now.
+    std::fflush(stdout);
     while (!g_stop.load(std::memory_order_relaxed) &&
            (duration_s <= 0.0 || std::chrono::steady_clock::now() < deadline)) {
       std::this_thread::sleep_for(std::chrono::milliseconds(250));

@@ -1,7 +1,6 @@
 #include "serve/model_registry.h"
 
 #include <algorithm>
-#include <cctype>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -20,15 +19,6 @@
 namespace snnskip::serve {
 
 namespace {
-
-bool parse_bool(const std::string& v) {
-  std::string t;
-  t.reserve(v.size());
-  for (char c : v) {
-    t.push_back(static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
-  }
-  return !(t == "0" || t == "false" || t == "off" || t == "no");
-}
 
 std::string dirname_of(const std::string& path) {
   const std::size_t slash = path.find_last_of('/');
@@ -114,16 +104,12 @@ ModelSpec ModelSpec::from_manifest(const std::string& path) {
         spec.in_h = std::stoll(value);
       } else if (key == "in_w") {
         spec.in_w = std::stoll(value);
-      } else if (key == "fold_bn") {
-        spec.compile.fold_bn = parse_bool(value);
       } else if (key == "precision") {
         if (!infer::parse_precision(value, &spec.compile.precision)) {
           bad("unknown precision '" + value + "' (fp32|int8)");
         }
       } else if (key == "calib_steps") {
         spec.calib_steps = std::stoll(value);
-      } else if (key == "packed") {
-        spec.exec.packed = parse_bool(value);
       } else if (key == "threshold") {
         spec.exec.threshold = std::stof(value);
       } else {
@@ -219,7 +205,7 @@ ModelHandle ModelRegistry::load(const ModelSpec& spec) {
     // Fixed warmup stream: an evicted model reloaded later recovers the
     // exact same BNTT stats, so LRU round-trips are bit-reproducible.
     // Always batch-1, independent of the compiled capacity, so specs
-    // differing only in `batch` fold identical weights (serve_load
+    // differing only in `batch` compile identical plans (serve_load
     // cross-checks batched serving against a batch-1 twin this way).
     const Shape warm_shape{1, spec.config.in_channels, spec.in_h, spec.in_w};
     Rng rng(99);
@@ -234,8 +220,8 @@ ModelHandle ModelRegistry::load(const ModelSpec& spec) {
     // Self-calibration (ISSUE 10): profile activation ranges on an FP32
     // twin over a fixed seeded spike stream, then compile int8 from the
     // profile. Batch-1 calibration shape for the same reason as the BN
-    // warmup: specs differing only in `batch` must fold (and now
-    // quantize) identical weights.
+    // warmup: specs differing only in `batch` must compile and quantize
+    // identical weights.
     infer::CompileOptions fp = spec.compile;
     fp.precision = infer::Precision::Fp32;
     fp.quant = nullptr;

@@ -55,7 +55,7 @@ struct ModelSpec {
   /// compiling. Empty keeps the seeded initialization.
   std::string checkpoint;
   /// Without a checkpoint, run this many train-mode steps on Bernoulli
-  /// noise so the BNTT running stats are non-trivial before folding
+  /// noise so the BNTT running stats are non-trivial before compiling
   /// (synthetic-weights convenience used by benches and tests).
   std::int64_t warm_bn_steps = 0;
   /// Compiled batch capacity and input plane (channels come from config).
@@ -81,7 +81,7 @@ struct ModelSpec {
   /// Parse a `key value` manifest (one pair per line; '#' comments).
   /// Keys: name family width in_channels num_classes timesteps theta
   /// neuron (lif|plif) seed checkpoint warm_bn_steps batch in_h in_w
-  /// fold_bn precision (fp32|int8) calib_steps packed threshold. Relative
+  /// precision (fp32|int8) calib_steps threshold. Relative
   /// checkpoint paths resolve against the manifest's directory. Throws
   /// std::runtime_error on unreadable files or unknown keys.
   static ModelSpec from_manifest(const std::string& path);

@@ -430,10 +430,7 @@ std::vector<Family> build_families(const TuneOptions& opts) {
       }));
     };
     f.measure = [iw, min_ms] {
-      infer::ExecOptions eo;
-      eo.packed = true;
-      eo.threshold = kernel_config().infer_threshold;
-      infer::Engine eng(iw->plan, eo);
+      infer::Engine eng(iw->plan, infer::ExecOptions::defaults());
       Tensor out(iw->plan->output_shape);
       return measure_span_seconds("infer", min_ms, [iw, &eng, &out] {
         eng.reset();

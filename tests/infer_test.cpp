@@ -1,7 +1,8 @@
-// Tests for the compiled inference engine (ISSUE 6): BN-fold numerical
-// equivalence, packed-vs-CSR-vs-dense forward equivalence across join
-// types and geometries, plan buffer-reuse safety, zero-allocation steady
-// state, checkpoint round-trips, and dispatch/energy accounting.
+// Tests for the compiled inference engine (ISSUE 6): training-eval
+// equivalence (bitwise for dense dispatch and single-term packed ops),
+// packed-vs-dense forward equivalence across join types and geometries,
+// single-copy weight accounting, plan buffer-reuse safety, zero-allocation
+// steady state, checkpoint round-trips, and dispatch/energy accounting.
 
 #include <gtest/gtest.h>
 
@@ -30,31 +31,25 @@ namespace {
 using infer::CompileOptions;
 using infer::Engine;
 using infer::ExecOptions;
-using infer::InferExec;
 using infer::Plan;
 
-// Saves and restores the process-wide dispatch DEFAULTS around each test
-// (SparseExec globals for the training graph, InferExec shims for
-// default-constructed engines) so forced configurations never leak into
+// Saves and restores the training graph's process-wide SparseExec dispatch
+// switches around each test so forced configurations never leak into
 // other suites. Engines under test pass explicit ExecOptions instead.
 class InferTest : public ::testing::Test {
  protected:
   void SetUp() override {
     sparse_on_ = SparseExec::enabled();
     sparse_thr_ = SparseExec::threshold();
-    packed_on_ = InferExec::packed_enabled();
-    packed_thr_ = InferExec::threshold();
   }
   void TearDown() override {
     SparseExec::set_enabled(sparse_on_);
     SparseExec::set_threshold(sparse_thr_);
-    InferExec::set_packed_enabled(packed_on_);
-    InferExec::set_threshold(packed_thr_);
   }
 
  private:
-  bool sparse_on_ = true, packed_on_ = true;
-  float sparse_thr_ = 0.25f, packed_thr_ = 0.25f;
+  bool sparse_on_ = true;
+  float sparse_thr_ = 0.25f;
 };
 
 ModelConfig small_cfg() {
@@ -78,8 +73,8 @@ std::vector<Tensor> spike_inputs(const Shape& s, std::int64_t steps, float p,
 }
 
 /// Run a few train-mode steps so BNTT accumulates non-trivial per-timestep
-/// running stats (otherwise folding is a near-identity and proves little),
-/// then clear all contexts/state for the eval comparison.
+/// running stats (otherwise the BN epilogue is a near-identity and proves
+/// little), then clear all contexts/state for the eval comparison.
 void warm_bn_stats(Network& net, const Shape& in_shape, std::int64_t steps) {
   Rng rng(99);
   net.reset_state();
@@ -177,12 +172,13 @@ TEST_F(InferTest, PackedConvTermMatchesCsrKernelBitwise) {
   }
 }
 
-// --- BN folding / training equivalence --------------------------------------
+// --- training equivalence ---------------------------------------------------
 
 TEST_F(InferTest, FoldedPlanMatchesTrainingEval) {
-  // BN scale folded into the weights reassociates per-tap products; the
-  // membrane difference is bounded (documented in DESIGN.md §5g), checked
-  // here through the head logits at 1e-4.
+  // The default plan (BN folded into the epilogue) under default dispatch:
+  // packed ADD joins and sunk projections accumulate term by term rather
+  // than over the assembled sum, so agreement is to rounding (DESIGN.md
+  // §5g), checked here through the head logits at 1e-4.
   for (const std::string model : {"single_block", "resnet18s"}) {
     ModelConfig cfg = small_cfg();
     Network net = build_model(model, cfg, default_adjacencies(model, cfg));
@@ -213,9 +209,11 @@ TEST_F(InferTest, FoldedPlanMatchesTrainingEvalPlif) {
 }
 
 TEST_F(InferTest, NoFoldDensePlanIsBitwiseEqualToTraining) {
-  // fold_bn = false keeps the training layout: the engine's dense path
-  // runs the identical im2col + GEMM, BN-eval expressions, and LIF update,
-  // so with both sides forced dense the outputs must agree exactly.
+  // The default plan keeps the raw weights and applies BN in the
+  // epilogue, so its dense path runs the identical im2col + GEMM (sunk
+  // projections re-materialized through their raw 1x1 weights), BN-eval
+  // expressions, and LIF update: with both sides forced dense the outputs
+  // must agree exactly.
   SparseExec::set_enabled(false);  // training-graph side stays dense
   for (const std::string model :
        {"single_block", "resnet18s", "densenet121s", "mobilenetv2s"}) {
@@ -226,44 +224,45 @@ TEST_F(InferTest, NoFoldDensePlanIsBitwiseEqualToTraining) {
     const auto xs = spike_inputs(in, 4, 0.25f, 31);
     const auto ref = training_eval(net, xs);
 
-    CompileOptions opts;
-    opts.fold_bn = false;
-    Engine eng(infer::compile(net, in, opts),
-               ExecOptions{/*packed=*/false, /*threshold=*/0.f});
+    Engine eng(infer::compile(net, in), ExecOptions{/*threshold=*/0.f});
     const auto got = engine_eval(eng, xs);
     EXPECT_EQ(max_step_diff(ref, got), 0.f) << model;
     EXPECT_GT(eng.stats().dense_dispatches, 0);
   }
 }
 
-// --- packed vs CSR vs dense -------------------------------------------------
+// --- packed vs training CSR vs dense ----------------------------------------
 
 TEST_F(InferTest, PackedMatchesCsrBitwiseOnChain) {
-  // Single-term ops (chain adjacency): packed and CSR visit the same
-  // events in the same order — exact agreement required.
+  // Single-term ops (chain adjacency): the packed engine and the training
+  // graph's CSR event kernels visit the same events in the same order and
+  // apply BN with the same expressions — exact agreement required.
+  SparseExec::set_enabled(true);
+  SparseExec::set_threshold(1.f);
   ModelConfig cfg = small_cfg();
   Network net = build_model("single_block", cfg,
                             {Adjacency::chain(4)});
   const Shape in{2, cfg.in_channels, 8, 8};
   warm_bn_stats(net, in, 4);
   const auto xs = spike_inputs(in, 4, 0.15f, 41);
-  const infer::PlanPtr plan = infer::compile(net, in);
+  const auto ref = training_eval(net, xs);
 
-  Engine packed_eng(plan, ExecOptions{/*packed=*/true, /*threshold=*/1.f});
+  Engine packed_eng(infer::compile(net, in), ExecOptions{/*threshold=*/1.f});
   const auto packed = engine_eval(packed_eng, xs);
   EXPECT_GT(packed_eng.stats().packed_dispatches, 0);
+  EXPECT_EQ(packed_eng.stats().dense_dispatches,
+            packed_eng.stats().steps);  // only the head linear runs dense
 
-  Engine csr_eng(plan, ExecOptions{/*packed=*/false, /*threshold=*/1.f});
-  const auto csr = engine_eval(csr_eng, xs);
-  EXPECT_GT(csr_eng.stats().csr_dispatches, 0);
-
-  EXPECT_EQ(max_step_diff(packed, csr), 0.f);
+  EXPECT_EQ(max_step_diff(packed, ref), 0.f);
 }
 
 TEST_F(InferTest, PackedMatchesCsrAndDenseAcrossJoinTypes) {
-  // ASC joins change only the accumulation ORDER between the packed
-  // (term-by-term) and CSR (pre-assembled) paths, so agreement is to
-  // rounding; DSC concat terms and strided/projection blocks ride along.
+  // ASC joins (and sunk projections) change only the accumulation ORDER
+  // between the packed (term-by-term) path and the training graph's CSR
+  // path over the assembled sum, so agreement is to rounding; DSC concat
+  // terms and strided/projection blocks ride along.
+  SparseExec::set_enabled(true);
+  SparseExec::set_threshold(1.f);
   for (const std::string model :
        {"resnet18s", "densenet121s", "mobilenetv2s"}) {
     ModelConfig cfg = small_cfg();
@@ -271,21 +270,56 @@ TEST_F(InferTest, PackedMatchesCsrAndDenseAcrossJoinTypes) {
     const Shape in{2, cfg.in_channels, 8, 8};
     warm_bn_stats(net, in, 4);
     const auto xs = spike_inputs(in, 4, 0.15f, 43);
+    const auto ref = training_eval(net, xs);
     const infer::PlanPtr plan = infer::compile(net, in);
 
-    Engine packed_eng(plan, ExecOptions{/*packed=*/true, /*threshold=*/1.f});
+    Engine packed_eng(plan, ExecOptions{/*threshold=*/1.f});
     const auto packed = engine_eval(packed_eng, xs);
     EXPECT_GT(packed_eng.stats().packed_dispatches, 0) << model;
 
-    Engine csr_eng(plan, ExecOptions{/*packed=*/false, /*threshold=*/1.f});
-    const auto csr = engine_eval(csr_eng, xs);
-
-    Engine dense_eng(plan, ExecOptions{/*packed=*/true, /*threshold=*/0.f});
+    Engine dense_eng(plan, ExecOptions{/*threshold=*/0.f});
     const auto dense = engine_eval(dense_eng, xs);
+    EXPECT_EQ(dense_eng.stats().packed_dispatches, 0) << model;
 
-    EXPECT_LE(max_step_diff(packed, csr), 1e-4f) << model;
+    EXPECT_LE(max_step_diff(packed, ref), 1e-4f) << model;
     EXPECT_LE(max_step_diff(packed, dense), 1e-4f) << model;
   }
+}
+
+// --- single-copy weights ----------------------------------------------------
+
+TEST_F(InferTest, Fp32PlanKeepsOneWeightCopyAcrossTimesteps) {
+  // BNTT lives in the epilogue, so raising the BNTT timestep count adds
+  // exactly one scale and one bias vector per BN op and timestep — the
+  // weight panels themselves (own and sunk) are stored once.
+  auto plan_at = [](std::int64_t timesteps) {
+    ModelConfig cfg = small_cfg();
+    cfg.max_timesteps = timesteps;
+    Network net =
+        build_model("resnet18s", cfg, default_adjacencies("resnet18s", cfg));
+    return infer::compile(net, Shape{2, cfg.in_channels, 8, 8});
+  };
+  const infer::PlanPtr t2 = plan_at(2);
+  const infer::PlanPtr t10 = plan_at(10);
+  ASSERT_EQ(t2->ops.size(), t10->ops.size());
+
+  std::int64_t per_t_bytes = 0;  // one scale + one bias vector, every BN op
+  int bn_ops = 0, sunk_terms = 0;
+  for (std::size_t i = 0; i < t10->ops.size(); ++i) {
+    const infer::OpPlan& op = t10->ops[i];
+    for (const infer::TermPlan& t : op.terms) sunk_terms += t.sunk ? 1 : 0;
+    if (op.scale.empty()) continue;
+    ++bn_ops;
+    ASSERT_EQ(op.scale.size(), 10u) << op.name;
+    ASSERT_EQ(op.bias.size(), 10u) << op.name;
+    ASSERT_EQ(t2->ops[i].scale.size(), 2u) << op.name;
+    per_t_bytes += static_cast<std::int64_t>(
+                       op.scale[0].size() + op.bias[0].size()) *
+                   4;
+  }
+  EXPECT_GT(bn_ops, 8);
+  EXPECT_GT(sunk_terms, 0);  // ASC projections are sunk, not expanded per t
+  EXPECT_EQ(t10->weight_bytes() - t2->weight_bytes(), (10 - 2) * per_t_bytes);
 }
 
 // --- plan invariants --------------------------------------------------------
@@ -332,8 +366,7 @@ TEST_F(InferTest, PackedSteadyStateIsAllocationFree) {
   Network net =
       build_model("resnet18s", cfg, default_adjacencies("resnet18s", cfg));
   const Shape in{2, cfg.in_channels, 8, 8};
-  Engine eng(infer::compile(net, in),
-             ExecOptions{/*packed=*/true, /*threshold=*/1.f});
+  Engine eng(infer::compile(net, in), ExecOptions{/*threshold=*/1.f});
 
   const auto xs = spike_inputs(in, 6, 0.15f, 51);
   Tensor out(eng.plan().output_shape);
@@ -388,13 +421,13 @@ TEST_F(InferTest, StatsAndEnergyAccounting) {
   Network net =
       build_model("resnet18s", cfg, default_adjacencies("resnet18s", cfg));
   const Shape in{2, cfg.in_channels, 8, 8};
-  Engine eng(infer::compile(net, in),
-             ExecOptions{/*packed=*/true, /*threshold=*/1.f});
+  Engine eng(infer::compile(net, in), ExecOptions{/*threshold=*/1.f});
   engine_eval(eng, spike_inputs(in, 4, 0.2f, 71));
 
   const infer::ExecStats& st = eng.stats();
   EXPECT_EQ(st.steps, 4);
   EXPECT_GT(st.packed_dispatches, 0);
+  EXPECT_EQ(st.csr_dispatches, 0);  // no CSR mode; field kept for perfbench
   EXPECT_GT(st.spikes, 0);
   EXPECT_GT(st.synops, 0);      // exact popcount-driven accumulates
   EXPECT_GT(st.dense_macs, 0);  // head linear (and proj convs) run dense
@@ -410,35 +443,6 @@ TEST_F(InferTest, StatsAndEnergyAccounting) {
 
 // --- per-engine ExecOptions (ISSUE 7) ---------------------------------------
 
-TEST_F(InferTest, DeprecatedShimsOnlyAffectFutureEngines) {
-  // The InferExec setters adjust the process-wide defaults consumed at
-  // construction; a live engine's snapshot never changes.
-  ModelConfig cfg = small_cfg();
-  Network net = build_model("single_block", cfg,
-                            default_adjacencies("single_block", cfg));
-  const Shape in{2, cfg.in_channels, 8, 8};
-  const infer::PlanPtr plan = infer::compile(net, in);
-
-  InferExec::set_packed_enabled(true);
-  InferExec::set_threshold(1.f);
-  Engine before(plan);
-  InferExec::set_packed_enabled(false);
-  InferExec::set_threshold(0.f);
-  Engine after(plan);
-
-  EXPECT_TRUE(before.options().packed);
-  EXPECT_EQ(before.options().threshold, 1.f);
-  EXPECT_FALSE(after.options().packed);
-  EXPECT_EQ(after.options().threshold, 0.f);
-
-  const auto xs = spike_inputs(in, 3, 0.15f, 81);
-  engine_eval(before, xs);
-  engine_eval(after, xs);
-  EXPECT_GT(before.stats().packed_dispatches, 0);
-  EXPECT_EQ(after.stats().packed_dispatches, 0);
-  EXPECT_GT(after.stats().dense_dispatches, 0);
-}
-
 TEST_F(InferTest, ConcurrentEnginesWithDistinctOptionsMatchSerial) {
   // N threads, each its own Engine over one shared plan with a different
   // dispatch configuration, must reproduce the serial single-engine runs
@@ -452,10 +456,10 @@ TEST_F(InferTest, ConcurrentEnginesWithDistinctOptionsMatchSerial) {
   const infer::PlanPtr plan = infer::compile(net, in);
 
   const std::vector<ExecOptions> configs = {
-      {/*packed=*/true, /*threshold=*/1.f},
-      {/*packed=*/false, /*threshold=*/1.f},
-      {/*packed=*/true, /*threshold=*/0.f},
-      {/*packed=*/true, /*threshold=*/0.25f},
+      {/*threshold=*/1.f},
+      {/*threshold=*/0.1f},
+      {/*threshold=*/0.f},
+      {/*threshold=*/0.25f},
   };
   std::vector<std::vector<Tensor>> inputs;
   std::vector<std::vector<Tensor>> serial(configs.size());
@@ -572,11 +576,11 @@ TEST_F(InferTest, Int8PackedMatchesDenseBitwiseOnSpikingOps) {
   const infer::PlanPtr plan = infer::compile(net, in, qopts);
 
   const auto xs = spike_inputs(in, 4, 0.2f, 211);
-  Engine packed_eng(plan, ExecOptions{/*packed=*/true, /*threshold=*/1.f});
+  Engine packed_eng(plan, ExecOptions{/*threshold=*/1.f});
   const auto packed = engine_eval(packed_eng, xs);
   EXPECT_GT(packed_eng.stats().packed_dispatches, 0);
 
-  Engine dense_eng(plan, ExecOptions{/*packed=*/false, /*threshold=*/0.f});
+  Engine dense_eng(plan, ExecOptions{/*threshold=*/0.f});
   const auto dense = engine_eval(dense_eng, xs);
   EXPECT_GT(dense_eng.stats().dense_dispatches, 0);
 
@@ -584,9 +588,9 @@ TEST_F(InferTest, Int8PackedMatchesDenseBitwiseOnSpikingOps) {
 }
 
 TEST_F(InferTest, Int8PlanShrinksWeightMemory) {
-  // The acceptance floor from ISSUE 10: one int8 copy of each weight
-  // panel plus per-timestep float scale/bias vectors must undercut the
-  // fp32 plan's per-timestep folded weight copies by at least 0.30x.
+  // The int8 acceptance floor: one int8 copy of each weight panel plus
+  // per-timestep float scale/bias vectors must undercut the fp32 plan's
+  // single fp32 copy (both layouts) by at least 0.30x.
   ModelConfig cfg = small_cfg();
   Network net =
       build_model("resnet18s", cfg, default_adjacencies("resnet18s", cfg));
@@ -604,19 +608,11 @@ TEST_F(InferTest, Int8PlanShrinksWeightMemory) {
             0.30 * static_cast<double>(fp->weight_bytes()));
 }
 
-TEST_F(InferTest, Int8PlanRejectsNoFoldAndAnalogInput) {
+TEST_F(InferTest, Int8PlanRejectsAnalogInput) {
   ModelConfig cfg = small_cfg();
   Network net = build_model("single_block", cfg,
                             default_adjacencies("single_block", cfg));
   const Shape in{2, cfg.in_channels, 8, 8};
-
-  // BN must be folded: the scheme absorbs the per-timestep BN transform
-  // into the requantization scale — without folding there is nothing to
-  // absorb it into.
-  CompileOptions nofold;
-  nofold.precision = infer::Precision::Int8;
-  nofold.fold_bn = false;
-  EXPECT_THROW(infer::compile_plan(net, in, nofold), std::invalid_argument);
 
   // Analog (non-binary) network input would be integer-rounded by the
   // stem's exact unit step — rejected rather than silently degraded.

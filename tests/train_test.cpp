@@ -242,7 +242,7 @@ TEST(Observers, MultipleObserversAllNotified) {
   EXPECT_FALSE(a.events.empty());
 }
 
-TEST(Observers, VerboseShimStillPrintsEpochLines) {
+TEST(Observers, ProgressPrinterPrintsEpochLines) {
   auto train_ds =
       std::make_shared<SyntheticDvsCifar>(tiny_data(), Split::Train);
   auto val_ds = std::make_shared<SyntheticDvsCifar>(tiny_data(), Split::Val);
@@ -250,7 +250,8 @@ TEST(Observers, VerboseShimStillPrintsEpochLines) {
   Network net = build_model("single_block", mc,
                             default_adjacencies("single_block", mc));
   TrainConfig cfg = tiny_train();
-  cfg.verbose = true;  // deprecated path: must install a ProgressPrinter
+  ProgressPrinter printer;
+  cfg.observers = {&printer};
   ::testing::internal::CaptureStderr();
   fit(net, NeuronMode::Spiking, train_ds, val_ds, cfg);
   const std::string err = ::testing::internal::GetCapturedStderr();
