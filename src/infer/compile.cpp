@@ -406,7 +406,7 @@ class Compiler {
     op.geom = ConvGeometry{conv.in_channels(), s[2], s[3], conv.kernel(),
                            conv.stride(), conv.pad()};
     op.out_c = conv.out_channels();
-    op.macs = conv.macs(s);
+    op.macs = conv.macs(s) / s[0];
     TermPlan t;
     t.value = in;
     t.channels = conv.in_channels();
@@ -432,7 +432,7 @@ class Compiler {
     const Shape s = shape(in);
     if (s.ndim() != 2) fail("linear stage expects a 2-D (N, F) input");
     op.out_c = lin.out_features();
-    op.macs = lin.macs(s);
+    op.macs = lin.macs(s) / s[0];
     TermPlan t;
     t.value = in;
     t.channels = lin.in_features();
@@ -641,7 +641,7 @@ class Compiler {
         op.kind = OpKind::Conv;
         op.geom = ConvGeometry{conv->in_channels(), in_s[2], in_s[3],
                                conv->kernel(), conv->stride(), conv->pad()};
-        op.macs = conv->macs(op_in);
+        op.macs = conv->macs(op_in) / op_in[0];
         WeightBuild b;
         b.w = conv->weight().value.data();
         b.layer_bias =
@@ -655,7 +655,7 @@ class Compiler {
         op.kind = OpKind::DwConv;
         op.geom = ConvGeometry{dw->channels(), in_s[2], in_s[3],
                                dw->kernel(), dw->stride(), dw->pad()};
-        op.macs = dw->macs(op_in);
+        op.macs = dw->macs(op_in) / op_in[0];
         WeightBuild b;
         b.w = dw->weight().value.data();
         b.layer_bias = dw->has_bias() ? dw->bias().value.data() : nullptr;

@@ -59,11 +59,20 @@ Tensor Engine::step(const Tensor& x) {
 }
 
 void Engine::step(const Tensor& x, Tensor* out) {
+  step(x, out, plan_->input_shape[0]);
+}
+
+void Engine::step(const Tensor& x, Tensor* out, std::int64_t active) {
   SNNSKIP_SPAN("infer.step", plan_->model_name);
   if (x.shape() != plan_->input_shape) {
     throw std::invalid_argument(
         "infer::Engine::step: input shape does not match the compiled plan");
   }
+  if (active < 1 || active > plan_->input_shape[0]) {
+    throw std::invalid_argument(
+        "infer::Engine::step: active must be in [1, batch]");
+  }
+  active_ = active;
   const std::int64_t spikes0 = stats_.spikes;
   const std::int64_t synops0 = stats_.synops;
 
@@ -76,7 +85,8 @@ void Engine::step(const Tensor& x, Tensor* out) {
   const ValuePlan& ov = val(plan_->output_value);
   if (out->shape() != ov.shape) *out = Tensor(ov.shape);
   std::memcpy(out->data(), dense(plan_->output_value),
-              static_cast<std::size_t>(ov.floats) * sizeof(float));
+              static_cast<std::size_t>(active_ * (ov.floats / ov.shape[0])) *
+                  sizeof(float));
 
   ++t_;
   ++stats_.steps;
@@ -95,14 +105,13 @@ void Engine::step(const Tensor& x, Tensor* out) {
 void Engine::write_input(const Tensor& x) {
   const int iv = plan_->input_value;
   const ValuePlan& v = val(iv);
+  const std::int64_t img_f = v.floats / v.shape[0];
+  const std::int64_t img_w = v.words / v.shape[0];
   std::memcpy(dense(iv), x.data(),
-              static_cast<std::size_t>(v.floats) * sizeof(float));
-  const std::int64_t n = v.shape[0];
-  const std::int64_t img_f = v.floats / n;
-  const std::int64_t img_w = v.words / n;
+              static_cast<std::size_t>(active_ * img_f) * sizeof(float));
   std::int64_t total = 0;
   bool binary = true;
-  for (std::int64_t img = 0; img < n && binary; ++img) {
+  for (std::int64_t img = 0; img < active_ && binary; ++img) {
     const std::int64_t r =
         spike_pack(x.data() + img * img_f, img_f, words(iv) + img * img_w);
     if (r < 0) {
@@ -129,7 +138,7 @@ void Engine::write_input(const Tensor& x) {
     // its consumers dispatch dense.
     pvalid_[static_cast<std::size_t>(iv)] = 0;
     popcnt_[static_cast<std::size_t>(iv)] =
-        count_nonzero(x.data(), x.numel());
+        count_nonzero(x.data(), active_ * img_f);
   }
 }
 
@@ -165,7 +174,8 @@ bool Engine::packed_dispatch(const OpPlan& op) const {
     const std::size_t v = static_cast<std::size_t>(t.value);
     if (!t.spiking || pvalid_[v] == 0) return false;
     nnz += popcnt_[v];
-    elems += plan_->values[v].floats;
+    const ValuePlan& vp = plan_->values[v];
+    elems += active_ * (vp.floats / vp.shape[0]);
   }
   return elems > 0 &&
          static_cast<double>(nnz) / static_cast<double>(elems) <
@@ -223,8 +233,7 @@ static std::int64_t cols_floats(const OpPlan& op) {
 }
 
 void Engine::exec_conv(const OpPlan& op) {
-  const ValuePlan& ov = val(op.out);
-  const std::int64_t n = ov.shape[0];
+  const std::int64_t n = active_;
   const std::int64_t p = op.geom.out_h() * op.geom.out_w();
   const std::int64_t o_c = op.out_c;
   const std::int64_t in_img = op.geom.in_c * op.geom.in_h * op.geom.in_w;
@@ -261,7 +270,7 @@ void Engine::exec_conv(const OpPlan& op) {
   ++stats_.dense_dispatches;
   Telemetry::count("infer.dense_layers");
   Telemetry::count(ctr_dense_.c_str());
-  stats_.dense_macs += op.macs;
+  stats_.dense_macs += op.macs * n;
   float* assembled = scratch_.data();
   float* cols = assembled + in_img;
   float* outr = cols + cols_floats(op);
@@ -289,8 +298,7 @@ void Engine::exec_conv(const OpPlan& op) {
 }
 
 void Engine::exec_dwconv(const OpPlan& op) {
-  const ValuePlan& ov = val(op.out);
-  const std::int64_t n = ov.shape[0];
+  const std::int64_t n = active_;
   const std::int64_t p = op.geom.out_h() * op.geom.out_w();
   const std::int64_t c = op.geom.in_c;
   const std::int64_t k = op.geom.kernel;
@@ -320,7 +328,7 @@ void Engine::exec_dwconv(const OpPlan& op) {
   ++stats_.dense_dispatches;
   Telemetry::count("infer.dense_layers");
   Telemetry::count(ctr_dense_.c_str());
-  stats_.dense_macs += op.macs;
+  stats_.dense_macs += op.macs * n;
   float* assembled = scratch_.data();
   float* outr = assembled + in_img;
   const std::int64_t h = op.geom.in_h, wd = op.geom.in_w;
@@ -357,14 +365,13 @@ void Engine::exec_dwconv(const OpPlan& op) {
 
 void Engine::exec_linear(const OpPlan& op) {
   const TermPlan& t = op.terms.front();
-  const ValuePlan& iv = val(t.value);
-  const std::int64_t n = iv.shape[0];
+  const std::int64_t n = active_;
   const std::int64_t in_f = t.channels;
   const std::int64_t o_f = op.out_c;
   ++stats_.dense_dispatches;
   Telemetry::count("infer.dense_layers");
   Telemetry::count(ctr_dense_.c_str());
-  stats_.dense_macs += op.macs;
+  stats_.dense_macs += op.macs * n;
   record_amax(dense(t.value), n * in_f);
   float* outr = scratch_.data();  // (N, O)
   // out(N, O) = x(N, I) * W(O, I)^T — Linear::forward's dense GEMM; the
@@ -389,8 +396,7 @@ void Engine::exec_linear(const OpPlan& op) {
 // bitwise-equal.
 
 void Engine::exec_conv_i8(const OpPlan& op) {
-  const ValuePlan& ov = val(op.out);
-  const std::int64_t n = ov.shape[0];
+  const std::int64_t n = active_;
   const std::int64_t p = op.geom.out_h() * op.geom.out_w();
   const std::int64_t o_c = op.out_c;
   const std::int64_t in_img = op.geom.in_c * op.geom.in_h * op.geom.in_w;
@@ -429,7 +435,7 @@ void Engine::exec_conv_i8(const OpPlan& op) {
   ++stats_.dense_dispatches;
   Telemetry::count("infer.dense_layers");
   Telemetry::count(ctr_dense_.c_str());
-  stats_.dense_macs += op.macs;
+  stats_.dense_macs += op.macs * n;
   float* assembled = scratch_.data();
   float* cols = assembled + in_img;
   const std::int64_t cols_f = cols_floats(op);
@@ -451,8 +457,7 @@ void Engine::exec_conv_i8(const OpPlan& op) {
 }
 
 void Engine::exec_dwconv_i8(const OpPlan& op) {
-  const ValuePlan& ov = val(op.out);
-  const std::int64_t n = ov.shape[0];
+  const std::int64_t n = active_;
   const std::int64_t p = op.geom.out_h() * op.geom.out_w();
   const std::int64_t c = op.geom.in_c;
   const std::int64_t k = op.geom.kernel;
@@ -484,7 +489,7 @@ void Engine::exec_dwconv_i8(const OpPlan& op) {
   ++stats_.dense_dispatches;
   Telemetry::count("infer.dense_layers");
   Telemetry::count(ctr_dense_.c_str());
-  stats_.dense_macs += op.macs;
+  stats_.dense_macs += op.macs * n;
   float* assembled = scratch_.data();
   std::int8_t* q8 = reinterpret_cast<std::int8_t*>(assembled + in_img);
   const std::int64_t qf = (in_img + 3) / 4;
@@ -527,14 +532,13 @@ void Engine::exec_dwconv_i8(const OpPlan& op) {
 
 void Engine::exec_linear_i8(const OpPlan& op) {
   const TermPlan& t = op.terms.front();
-  const ValuePlan& iv = val(t.value);
-  const std::int64_t n = iv.shape[0];
+  const std::int64_t n = active_;
   const std::int64_t in_f = t.channels;
   const std::int64_t o_f = op.out_c;
   ++stats_.dense_dispatches;
   Telemetry::count("infer.dense_layers");
   Telemetry::count(ctr_dense_.c_str());
-  stats_.dense_macs += op.macs;
+  stats_.dense_macs += op.macs * n;
   std::int8_t* q8 = reinterpret_cast<std::int8_t*>(scratch_.data());
   const std::int64_t qf = (n * in_f + 3) / 4;
   std::int32_t* iout =
@@ -553,13 +557,12 @@ void Engine::exec_dsc_gather(const OpPlan& op) {
   const TermPlan& t = op.terms.front();
   const ValuePlan& sv = val(t.value);
   const ValuePlan& ov = val(op.out);
-  const std::int64_t n = sv.shape[0];
   const std::int64_t h = sv.shape[2], w = sv.shape[3];
   const std::int64_t len = t.channels;
   const std::int64_t ho = ov.shape[2], wo = ov.shape[3];
-  const std::int64_t src_img_f = sv.floats / n;
+  const std::int64_t src_img_f = sv.floats / sv.shape[0];
   float* g = scratch_.data();  // (len, H, W) gathered image
-  for (std::int64_t img = 0; img < n; ++img) {
+  for (std::int64_t img = 0; img < active_; ++img) {
     const float* src = dense(t.value) + img * src_img_f;
     for (std::size_t kk = 0; kk < t.gather.size(); ++kk) {
       std::memcpy(g + static_cast<std::int64_t>(kk) * h * w,
@@ -597,7 +600,7 @@ void Engine::exec_avgpool(const OpPlan& op) {
   const TermPlan& t = op.terms.front();
   const ValuePlan& sv = val(t.value);
   const ValuePlan& ov = val(op.out);
-  const std::int64_t n = sv.shape[0], c = sv.shape[1];
+  const std::int64_t n = active_, c = sv.shape[1];
   const std::int64_t h = sv.shape[2], w = sv.shape[3];
   const std::int64_t ho = ov.shape[2], wo = ov.shape[3];
   const float* src = dense(t.value);
@@ -628,7 +631,7 @@ void Engine::exec_avgpool(const OpPlan& op) {
 void Engine::exec_gap(const OpPlan& op) {
   const TermPlan& t = op.terms.front();
   const ValuePlan& sv = val(t.value);
-  const std::int64_t n = sv.shape[0], c = sv.shape[1];
+  const std::int64_t n = active_, c = sv.shape[1];
   const std::int64_t plane = sv.shape[2] * sv.shape[3];
   const float* src = dense(t.value);
   float* dst = dense(op.out);
@@ -644,9 +647,8 @@ void Engine::exec_gap(const OpPlan& op) {
 void Engine::exec_neuron(const OpPlan& op) {
   const TermPlan& t = op.terms.front();
   const ValuePlan& sv = val(t.value);
-  const std::int64_t n = sv.shape[0];
-  const std::int64_t img_f = sv.floats / n;
-  for (std::int64_t img = 0; img < n; ++img) {
+  const std::int64_t img_f = sv.floats / sv.shape[0];
+  for (std::int64_t img = 0; img < active_; ++img) {
     epilogue(op, img, dense(t.value) + img * img_f, /*so=*/1, /*sp=*/1);
   }
 }
@@ -654,12 +656,15 @@ void Engine::exec_neuron(const OpPlan& op) {
 void Engine::exec_copy(const OpPlan& op) {
   const TermPlan& t = op.terms.front();
   const ValuePlan& sv = val(t.value);
+  const std::int64_t n = sv.shape[0];
   std::memcpy(dense(op.out), dense(t.value),
-              static_cast<std::size_t>(sv.floats) * sizeof(float));
+              static_cast<std::size_t>(active_ * (sv.floats / n)) *
+                  sizeof(float));
   const ValuePlan& ov = val(op.out);
   if (ov.spiking && sv.spiking) {
     std::memcpy(words(op.out), words(t.value),
-                static_cast<std::size_t>(sv.words) * sizeof(std::uint64_t));
+                static_cast<std::size_t>(active_ * (sv.words / n)) *
+                    sizeof(std::uint64_t));
     pvalid_[static_cast<std::size_t>(op.out)] =
         pvalid_[static_cast<std::size_t>(t.value)];
     popcnt_[static_cast<std::size_t>(op.out)] =

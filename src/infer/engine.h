@@ -91,11 +91,22 @@ class Engine {
   /// (sequence boundary — the analogue of Network::reset_state()).
   void reset();
 
-  /// Run one timestep. `x` must match the plan's frozen input shape;
-  /// `out` is resized only if its shape mismatches the plan's output
-  /// shape, so a correctly-sized tensor makes this call allocation-free
-  /// on the packed path.
+  /// Run one timestep over the whole compiled batch. `x` must match the
+  /// plan's frozen input shape; `out` is resized only if its shape
+  /// mismatches the plan's output shape, so a correctly-sized tensor makes
+  /// this call allocation-free on the packed path.
   void step(const Tensor& x, Tensor* out);
+
+  /// Run one timestep over images [0, active) only; throws
+  /// std::invalid_argument unless 1 <= active <= batch. `x` keeps the
+  /// plan's input shape, but only its first `active` images are read, and
+  /// only rows [0, active) of `out` are written (later rows are
+  /// unspecified). Ops are per-image independent, so every live image's
+  /// output, spikes, synops and dispatch choice (density is measured over
+  /// the live images only) equal a batch-`active` plan's. Images >= active
+  /// do not advance: their neuron state stays as it was, so an image that
+  /// leaves the prefix must not rejoin it before reset().
+  void step(const Tensor& x, Tensor* out, std::int64_t active);
 
   /// Convenience wrapper that allocates the output tensor.
   Tensor step(const Tensor& x);
@@ -181,6 +192,7 @@ class Engine {
   std::vector<std::int64_t> popcnt_;   // per value: exact nonzero count
   std::vector<char> pvalid_;           // per value: packed mask is valid
   std::int64_t t_ = 0;                 // timestep (BNTT vector selection)
+  std::int64_t active_ = 0;            // live images of the current step
   ExecStats stats_;
   std::vector<float>* calib_ = nullptr;  // per-op input absmax sink
   std::size_t cur_op_ = 0;               // op index for the sink slot

@@ -186,7 +186,7 @@ struct OpPlan {
   std::int64_t state_off = -1;   ///< membrane offset in the state arena
   std::int64_t refrac_off = -1;  ///< refractory counters (refractory > 0)
 
-  std::int64_t macs = 0;  ///< dense MACs per step (energy accounting)
+  std::int64_t macs = 0;  ///< dense MACs per image and step (energy)
 
   /// Epilogue scale/bias index for engine timestep `t` (BNTT wrap
   /// semantics: steps past the last BNTT timestep reuse its vectors).

@@ -125,8 +125,8 @@ Tensor DepthwiseConv2d::backward(const Tensor& grad_out) {
     // dW from the forward events (bit-identical: for each weight tap the
     // dense loop visits the same nonzero (input, grad) products in the
     // same (image, output-position) order).
-    const ConvGeometry g{c_, h, w, kernel_, stride_, pad_};
-    spike_depthwise_backward_weight(g, ctx.input_csr, grad_out.data(),
+    const ConvGeometry geom{c_, h, w, kernel_, stride_, pad_};
+    spike_depthwise_backward_weight(geom, ctx.input_csr, grad_out.data(),
                                     weight_.grad.data());
     // dX and bias need only grad_out: same loop as the dense path below
     // minus the dW line, so gi/gb accumulate in the identical order.

@@ -366,8 +366,23 @@ void Server::run_batch(Batch batch) {
     return;
   }
   SNNSKIP_SPAN("serve.execute", name);
+  // Longest sequence first: at timestep t the requests that still have a
+  // frame form the prefix [0, active(t)), so the engine steps only live
+  // images and no zero frame is ever run. Each outcome stays at its own
+  // request's index.
+  std::stable_sort(batch.requests.begin(), batch.requests.end(),
+                   [](const auto& a, const auto& b) {
+                     return a->frames.size() > b->frames.size();
+                   });
   const std::size_t nreq = batch.requests.size();
   std::vector<Outcome> outcomes(nreq);
+  const auto fail_all = [&outcomes](const std::string& why) {
+    for (Outcome& o : outcomes) {
+      o.status = RequestStatus::Failed;
+      o.value = Tensor();
+      o.error = why;
+    }
+  };
   bool poisoned = false;
   try {
     LoadedModel::Lease lease = batch.model->lease();
@@ -377,30 +392,22 @@ void Server::run_batch(Batch batch) {
                                plan.input_shape[3];
     const std::int64_t classes = plan.output_shape.numel() / n;
 
-    std::size_t tmax = 0;
-    for (const auto& req : batch.requests) {
-      tmax = std::max(tmax, req->frames.size());
-    }
-
     Tensor x(plan.input_shape);
     Tensor out(plan.output_shape);
-    std::vector<std::vector<float>> acc(
-        nreq, std::vector<float>(static_cast<std::size_t>(classes), 0.f));
+    for (Outcome& o : outcomes) o.value = Tensor(Shape{classes});
+    const std::size_t tmax = batch.requests.front()->frames.size();
+    std::size_t active = nreq;
     for (std::size_t t = 0; t < tmax; ++t) {
+      while (batch.requests[active - 1]->frames.size() <= t) --active;
       {
         SNNSKIP_SPAN_AGG("serve.batch_assemble", name);
-        std::memset(x.data(), 0,
-                    static_cast<std::size_t>(x.numel()) * sizeof(float));
-        for (std::size_t i = 0; i < nreq; ++i) {
-          const auto& frames = batch.requests[i]->frames;
-          if (t < frames.size()) {
-            std::memcpy(x.data() + static_cast<std::int64_t>(i) * img_f,
-                        frames[t].data(),
-                        static_cast<std::size_t>(img_f) * sizeof(float));
-          }
+        for (std::size_t i = 0; i < active; ++i) {
+          std::memcpy(x.data() + static_cast<std::int64_t>(i) * img_f,
+                      batch.requests[i]->frames[t].data(),
+                      static_cast<std::size_t>(img_f) * sizeof(float));
         }
       }
-      lease->step(x, &out);
+      lease->step(x, &out, static_cast<std::int64_t>(active));
       if (SNNSKIP_FAULT("serve.engine_nan")) {
         // Simulated corrupted-weights blowup: poison the step output the
         // same way an Inf/NaN weight would.
@@ -408,10 +415,9 @@ void Server::run_batch(Batch batch) {
           out.data()[i] = std::numeric_limits<float>::quiet_NaN();
         }
       }
-      for (std::size_t i = 0; i < nreq; ++i) {
-        if (t >= batch.requests[i]->frames.size()) continue;
+      for (std::size_t i = 0; i < active; ++i) {
         const float* row = out.data() + static_cast<std::int64_t>(i) * classes;
-        float* a = acc[i].data();
+        float* a = outcomes[i].value.data();
         for (std::int64_t c = 0; c < classes; ++c) a[c] += row[c];
       }
     }
@@ -419,8 +425,9 @@ void Server::run_batch(Batch batch) {
     // Non-finite outputs mean the model itself is unhealthy (weights or
     // state corrupt): fail the whole batch and quarantine the model.
     for (std::size_t i = 0; i < nreq && !poisoned; ++i) {
-      for (float v : acc[i]) {
-        if (!std::isfinite(v)) {
+      const Tensor& v = outcomes[i].value;
+      for (std::int64_t c = 0; c < classes; ++c) {
+        if (!std::isfinite(v.data()[c])) {
           poisoned = true;
           break;
         }
@@ -428,33 +435,20 @@ void Server::run_batch(Batch batch) {
     }
 
     if (poisoned) {
-      for (std::size_t i = 0; i < nreq; ++i) {
-        outcomes[i].status = RequestStatus::Failed;
-        outcomes[i].error = "non-finite engine output (model quarantined)";
-      }
+      fail_all("non-finite engine output (model quarantined)");
     } else {
       const std::uint64_t done_ns = Telemetry::now_ns();
       for (std::size_t i = 0; i < nreq; ++i) {
-        Tensor r(Shape{classes});
-        std::memcpy(r.data(), acc[i].data(),
-                    static_cast<std::size_t>(classes) * sizeof(float));
         outcomes[i].status = RequestStatus::Ok;
-        outcomes[i].value = std::move(r);
         record_latency(
             static_cast<double>(done_ns - batch.requests[i]->enqueue_ns) /
             1e6);
       }
     }
   } catch (const std::exception& e) {
-    for (std::size_t i = 0; i < nreq; ++i) {
-      outcomes[i].status = RequestStatus::Failed;
-      outcomes[i].error = e.what();
-    }
+    fail_all(e.what());
   } catch (...) {
-    for (std::size_t i = 0; i < nreq; ++i) {
-      outcomes[i].status = RequestStatus::Failed;
-      outcomes[i].error = "unknown execution failure";
-    }
+    fail_all("unknown execution failure");
   }
 
   // Quarantine BEFORE reporting the failures: a client that retries the

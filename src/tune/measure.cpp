@@ -388,11 +388,11 @@ std::vector<Family> build_families(const TuneOptions& opts) {
       }));
     };
     f.measure = [cw, min_ms] {
-      const double thr =
+      const double threshold =
           static_cast<double>(kernel_config().sparse_threshold);
       double total = 0.0;
       for (std::size_t d = 0; d < cw->densities.size(); ++d) {
-        const bool sparse = cw->densities[d] < thr;
+        const bool sparse = cw->densities[d] < threshold;
         const auto key = std::make_pair(static_cast<int>(d), sparse ? 1 : 0);
         auto it = cw->cache.find(key);
         if (it == cw->cache.end()) {

@@ -2,12 +2,14 @@
 // equivalence (bitwise for dense dispatch and single-term packed ops),
 // packed-vs-dense forward equivalence across join types and geometries,
 // single-copy weight accounting, plan buffer-reuse safety, zero-allocation
-// steady state, checkpoint round-trips, and dispatch/energy accounting.
+// steady state, checkpoint round-trips, dispatch/energy accounting, and
+// active-prefix steps that match a smaller-batch plan exactly.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -380,6 +382,11 @@ TEST_F(InferTest, PackedSteadyStateIsAllocationFree) {
   for (std::size_t t = 2; t < xs.size(); ++t) eng.step(xs[t], &out);
   EXPECT_EQ(Workspace::tls().heap_allocs(), before);
   EXPECT_EQ(eng.stats().steps, static_cast<std::int64_t>(xs.size()));
+
+  // Active-prefix steps run in the same preallocated buffers.
+  for (std::size_t t = 2; t < xs.size(); ++t) eng.step(xs[t], &out, 1);
+  EXPECT_EQ(Workspace::tls().heap_allocs(), before);
+  EXPECT_EQ(eng.stats().steps, static_cast<std::int64_t>(2 * xs.size() - 2));
 }
 
 TEST_F(InferTest, RecurrentEdgesAreRejected) {
@@ -637,6 +644,94 @@ TEST_F(InferTest, InputShapeMismatchThrows) {
   Tensor bad(Shape{1, cfg.in_channels, 8, 8});
   Tensor out;
   EXPECT_THROW(eng.step(bad, &out), std::invalid_argument);
+}
+
+// --- active-prefix steps ----------------------------------------------------
+
+/// The first `k` images of a batched (N, C, H, W) tensor.
+Tensor first_images(const Tensor& x, std::int64_t k) {
+  const Shape& s = x.shape();
+  Tensor r(Shape{k, s[1], s[2], s[3]});
+  std::copy(x.data(), x.data() + r.numel(), r.data());
+  return r;
+}
+
+TEST_F(InferTest, ActivePrefixStepMatchesSmallerBatchPlan) {
+  // A batch-8 plan stepped at active = k does exactly a batch-k plan's
+  // work: rows [0, k) are bitwise equal at every timestep, and spikes,
+  // synops, dense MACs and the dispatch mix agree, because density is
+  // measured over the live images only. Rows >= k of the input carry
+  // spikes of their own, which must not reach anything. The input rate
+  // sits above the default threshold, so a density taken over all eight
+  // images would send the stem packed where the batch-k plan runs dense.
+  const std::int64_t steps = 6;
+  for (const std::string model :
+       {"single_block", "resnet18s", "densenet121s", "mobilenetv2s"}) {
+    ModelConfig cfg = small_cfg();
+    Network net = build_model(model, cfg, default_adjacencies(model, cfg));
+    const Shape in8{8, cfg.in_channels, 8, 8};
+    warm_bn_stats(net, in8, 4);
+    const infer::QuantProfile prof = calibrate(net, in8, 4, 131);
+    const auto xs = spike_inputs(in8, steps, 0.3f, 61);
+    for (const infer::Precision prec :
+         {infer::Precision::Fp32, infer::Precision::Int8}) {
+      CompileOptions copts;
+      copts.precision = prec;
+      copts.quant = &prof;
+      const infer::PlanPtr plan8 = infer::compile(net, in8, copts);
+      for (const std::int64_t k : {1, 3, 8}) {
+        const infer::PlanPtr plank = infer::compile(
+            net, Shape{k, cfg.in_channels, 8, 8}, copts);
+        const std::int64_t row = plank->output_shape.numel();
+        for (const ExecOptions& opts :
+             {ExecOptions::defaults(), ExecOptions{/*threshold=*/0.f}}) {
+          const std::string where =
+              model + (prec == infer::Precision::Int8 ? " int8" : " fp32") +
+              " k=" + std::to_string(k) +
+              " threshold=" + std::to_string(opts.threshold);
+          Engine big(plan8, opts);
+          Engine small(plank, opts);
+          Tensor ob, os;
+          for (std::int64_t t = 0; t < steps; ++t) {
+            big.step(xs[static_cast<std::size_t>(t)], &ob, k);
+            small.step(first_images(xs[static_cast<std::size_t>(t)], k), &os);
+            EXPECT_EQ(std::memcmp(ob.data(), os.data(),
+                                  static_cast<std::size_t>(row) *
+                                      sizeof(float)),
+                      0)
+                << where << " t=" << t;
+          }
+          const infer::ExecStats& a = big.stats();
+          const infer::ExecStats& b = small.stats();
+          EXPECT_EQ(a.steps, b.steps) << where;
+          EXPECT_EQ(a.spikes, b.spikes) << where;
+          EXPECT_EQ(a.synops, b.synops) << where;
+          EXPECT_EQ(a.dense_macs, b.dense_macs) << where;
+          EXPECT_EQ(a.packed_dispatches, b.packed_dispatches) << where;
+          EXPECT_EQ(a.dense_dispatches, b.dense_dispatches) << where;
+          EXPECT_GT(a.spikes, 0) << where;
+          if (opts.threshold > 0.f) {
+            EXPECT_GT(a.packed_dispatches, 0) << where;
+          } else {
+            EXPECT_EQ(a.packed_dispatches, 0) << where;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_F(InferTest, ActiveOutsideBatchThrows) {
+  ModelConfig cfg = small_cfg();
+  Network net = build_model("single_block", cfg,
+                            default_adjacencies("single_block", cfg));
+  const Shape in{8, cfg.in_channels, 8, 8};
+  Engine eng(infer::compile(net, in));
+  const Tensor x(in);
+  Tensor out;
+  EXPECT_THROW(eng.step(x, &out, 0), std::invalid_argument);
+  EXPECT_THROW(eng.step(x, &out, 9), std::invalid_argument);
+  EXPECT_EQ(eng.stats().steps, 0);
 }
 
 }  // namespace

@@ -65,8 +65,8 @@ std::vector<Tensor> request_frames(const Shape& frame, std::int64_t steps,
 }
 
 // Rate-accumulated head output for one request computed directly on a
-// leased engine (slot 0; remaining batch slots stay zero, which per-image
-// op independence guarantees cannot perturb slot 0).
+// leased engine, stepping image 0 alone (active = 1): exactly the work a
+// batch-1 plan does.
 Tensor direct_reference(const ModelHandle& model,
                         const std::vector<Tensor>& frames) {
   const infer::Plan& plan = *model->plan();
@@ -79,9 +79,8 @@ Tensor direct_reference(const ModelHandle& model,
   Tensor acc(Shape{classes});
   const std::int64_t img = x.numel() / n;
   for (const Tensor& f : frames) {
-    x.fill(0.f);
     std::copy(f.data(), f.data() + img, x.data());
-    lease->step(x, &out);
+    lease->step(x, &out, 1);
     for (std::int64_t c = 0; c < classes; ++c) {
       acc.data()[c] += out.data()[c];
     }
@@ -379,7 +378,9 @@ TEST(ServerTest, ServedResultsMatchDirectEngine) {
 
 TEST(ServerTest, VariableLengthSequencesBatchTogether) {
   // Requests with different T coalesce into one batch; each response
-  // accumulates exactly its own T steps.
+  // accumulates exactly its own T steps, whichever one was submitted
+  // first (the batch runs longest-first, so a short-first batch is
+  // reordered and each outcome must still reach its own request).
   ModelRegistry reg(4);
   ServeOptions opts = fast_opts();
   opts.max_batch = 2;
@@ -394,17 +395,23 @@ TEST(ServerTest, VariableLengthSequencesBatchTogether) {
   const Shape frame{spec.config.in_channels, spec.in_h, spec.in_w};
   const auto short_req = request_frames(frame, 2, 31);
   const auto long_req = request_frames(frame, 4, 32);
-  Server::Ticket a = server.submit("v", short_req);
-  Server::Ticket b = server.submit("v", long_req);
-  ASSERT_TRUE(a.accepted);
-  ASSERT_TRUE(b.accepted);
-  EXPECT_LE(Tensor::max_abs_diff(a.result.get(),
-                                 direct_reference(direct, short_req)),
-            1e-4f);
-  EXPECT_LE(Tensor::max_abs_diff(b.result.get(),
-                                 direct_reference(direct, long_req)),
-            1e-4f);
-  EXPECT_EQ(server.stats().batches, 1);  // one coalesced batch
+  const Tensor short_ref = direct_reference(direct, short_req);
+  const Tensor long_ref = direct_reference(direct, long_req);
+  for (const bool short_first : {true, false}) {
+    Server::Ticket a = server.submit("v", short_first ? short_req : long_req);
+    Server::Ticket b = server.submit("v", short_first ? long_req : short_req);
+    ASSERT_TRUE(a.accepted);
+    ASSERT_TRUE(b.accepted);
+    EXPECT_LE(Tensor::max_abs_diff(a.result.get(),
+                                   short_first ? short_ref : long_ref),
+              1e-4f)
+        << "short_first " << short_first;
+    EXPECT_LE(Tensor::max_abs_diff(b.result.get(),
+                                   short_first ? long_ref : short_ref),
+              1e-4f)
+        << "short_first " << short_first;
+  }
+  EXPECT_EQ(server.stats().batches, 2);  // one coalesced batch per order
 }
 
 TEST(ServerTest, LoneRequestFlushesOnDeadline) {
@@ -599,6 +606,41 @@ TEST(ServeTelemetryTest, EngineCountersAreKeyedPerModel) {
   EXPECT_EQ(counters.at("infer.steps.beta"), 2.0);
   ASSERT_TRUE(counters.count("infer.steps"));
   EXPECT_EQ(counters.at("infer.steps"), 5.0);
+
+  Telemetry::reset();
+  Telemetry::set_enabled(was_enabled);
+}
+
+TEST(ServeTelemetryTest, LoneRequestOnBatch8ModelCostsABatch1Step) {
+  // A request served alone on a batch-8 model steps only its own image:
+  // it must leave exactly the synops a direct batch-1 engine spends on
+  // the same sequence, and the identical result. (Zero-padded slots
+  // would fire through the BN shift and add synops, or push ops dense.)
+  const bool was_enabled = Telemetry::enabled();
+  Telemetry::set_enabled(true);
+
+  ModelRegistry reg(4);
+  ServeOptions opts = fast_opts();
+  opts.max_batch = 8;
+  Server server(reg, opts);
+  const ModelSpec spec8 = tiny_spec("solo8", /*batch=*/8);
+  server.add_model(spec8);
+  ModelHandle one = reg.load(tiny_spec("solo1", /*batch=*/1));
+
+  const Shape frame{spec8.config.in_channels, spec8.in_h, spec8.in_w};
+  const auto frames = request_frames(frame, 4, 71, 0.1f);
+  Telemetry::reset();
+  const Tensor served = server.infer("solo8", frames);
+  const Tensor ref = direct_reference(one, frames);
+  EXPECT_EQ(Tensor::max_abs_diff(served, ref), 0.f);
+
+  const auto counters = Telemetry::counters();
+  ASSERT_TRUE(counters.count("infer.synops.solo8"));
+  ASSERT_TRUE(counters.count("infer.synops.solo1"));
+  EXPECT_GT(counters.at("infer.synops.solo1"), 0.0);
+  EXPECT_EQ(counters.at("infer.synops.solo8"),
+            counters.at("infer.synops.solo1"));
+  EXPECT_EQ(server.stats().completed, 1);
 
   Telemetry::reset();
   Telemetry::set_enabled(was_enabled);
