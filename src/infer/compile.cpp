@@ -48,10 +48,11 @@ BnFold bn_fold(const BatchNormTT& bn, std::int64_t t) {
   return f;
 }
 
-/// (O, CKK) row-major -> ((c,ky,kx), o) transposed panel.
-std::vector<float> transpose_rows(const float* w, std::int64_t o_c,
-                                  std::int64_t ckk) {
-  std::vector<float> wt(static_cast<std::size_t>(o_c * ckk));
+/// (O, CKK) row-major -> ((c,ky,kx), o) transposed panel (fp32 or int8).
+template <typename W>
+std::vector<W> transpose_rows(const W* w, std::int64_t o_c,
+                              std::int64_t ckk) {
+  std::vector<W> wt(static_cast<std::size_t>(o_c * ckk));
   for (std::int64_t o = 0; o < o_c; ++o) {
     for (std::int64_t r = 0; r < ckk; ++r) {
       wt[static_cast<std::size_t>(r * o_c + o)] =
@@ -86,20 +87,6 @@ std::vector<std::int8_t> quantize_rows_i8(const float* w, std::int64_t rows,
     for (std::int64_t r = 0; r < cols; ++r) dst[r] = quantize_one_i8(src[r], inv);
   }
   return q;
-}
-
-/// (O, CKK) int8 rows -> ((c,ky,kx), o) transposed panel.
-std::vector<std::int8_t> transpose_rows_i8(const std::int8_t* w,
-                                           std::int64_t o_c,
-                                           std::int64_t ckk) {
-  std::vector<std::int8_t> wt(static_cast<std::size_t>(o_c * ckk));
-  for (std::int64_t o = 0; o < o_c; ++o) {
-    for (std::int64_t r = 0; r < ckk; ++r) {
-      wt[static_cast<std::size_t>(r * o_c + o)] =
-          w[static_cast<std::size_t>(o * ckk + r)];
-    }
-  }
-  return wt;
 }
 
 float row_absmax(const float* row, std::int64_t n) {
@@ -147,15 +134,28 @@ void build_epilogue(OpPlan& op, const WeightBuild& b, const BatchNormTT* bn,
   }
 }
 
+/// Store one weight copy (fp32 or int8 rows) in the op's fields of that
+/// type: a conv keeps the transposed panel for the packed event kernels
+/// and the rows for the dense GEMM; DwConv keeps its (C, K, K) bank for
+/// both modes; Linear its (O, I) rows.
+template <typename W>
+void place_weights(const OpPlan& op, const WeightBuild& b,
+                   std::vector<W> rows, std::vector<W>* panel,
+                   std::vector<W>* dense) {
+  if (b.transpose) {
+    *panel = transpose_rows(rows.data(), b.rows, b.cols);
+    *dense = std::move(rows);
+  } else if (op.kind == OpKind::DwConv) {
+    *panel = std::move(rows);
+  } else {
+    *dense = std::move(rows);
+  }
+}
+
 /// Fp32 weight build: the raw weights, once.
 void build_weights(OpPlan& op, const WeightBuild& b, const BatchNormTT* bn) {
-  std::vector<float> raw(b.w, b.w + b.rows * b.cols);
-  if (b.transpose) {
-    op.wt = transpose_rows(raw.data(), b.rows, b.cols);
-    op.wd = std::move(raw);
-  } else {
-    op.wt = std::move(raw);
-  }
+  place_weights(op, b, std::vector<float>(b.w, b.w + b.rows * b.cols), &op.wt,
+                &op.wd);
   build_epilogue(op, b, bn, nullptr);
 }
 
@@ -184,17 +184,8 @@ void build_weights_i8(OpPlan& op, const WeightBuild& b,
     if (amax > 0.f) S[static_cast<std::size_t>(o)] = amax / 127.f;
   }
 
-  auto q = quantize_rows_i8(b.w, o_c, b.cols, S);
-  if (b.transpose) {
-    // Conv: transposed panel for the packed event kernel, rows for the
-    // dense int8 GEMM.
-    op.wq8t = transpose_rows_i8(q.data(), o_c, b.cols);
-    op.wq8d = std::move(q);
-  } else if (op.kind == OpKind::DwConv) {
-    op.wq8t = std::move(q);  // (C, K, K) bank, both dispatch modes
-  } else {
-    op.wq8d = std::move(q);  // Linear (O, I) rows
-  }
+  place_weights(op, b, quantize_rows_i8(b.w, o_c, b.cols, S), &op.wq8t,
+                &op.wq8d);
   build_epilogue(op, b, bn, &S);
 
   for (TermPlan& t : op.terms) {

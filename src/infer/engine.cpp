@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
+#include <type_traits>
 
 #include "tensor/epilogue.h"
 #include "tensor/gemm.h"
@@ -156,9 +157,15 @@ void Engine::exec_op(const OpPlan& op) {
   SNNSKIP_SPAN_AGG("infer.op", op.name);
   const bool i8 = plan_->precision == Precision::Int8;
   switch (op.kind) {
-    case OpKind::Conv: i8 ? exec_conv_i8(op) : exec_conv(op); break;
-    case OpKind::DwConv: i8 ? exec_dwconv_i8(op) : exec_dwconv(op); break;
-    case OpKind::Linear: i8 ? exec_linear_i8(op) : exec_linear(op); break;
+    case OpKind::Conv:
+      i8 ? exec_conv<std::int8_t>(op) : exec_conv<float>(op);
+      break;
+    case OpKind::DwConv:
+      i8 ? exec_dwconv<std::int8_t>(op) : exec_dwconv<float>(op);
+      break;
+    case OpKind::Linear:
+      i8 ? exec_linear<std::int8_t>(op) : exec_linear<float>(op);
+      break;
     case OpKind::DscGather: exec_dsc_gather(op); break;
     case OpKind::AvgPool: exec_avgpool(op); break;
     case OpKind::GlobalAvgPool: exec_gap(op); break;
@@ -220,10 +227,103 @@ void Engine::sunk_into_assembled(const OpPlan& op, std::int64_t img,
   }
 }
 
+namespace {
+
+/// The plan's weight copy of type W and its accumulator type `Acc`:
+/// `panel` is the packed event kernels' transposed ((c,ky,kx), o) panel
+/// (DwConv: the (C, K, K) bank, read by both modes), `rows` the dense
+/// GEMM's (O, CKK) / (O, I) rows, `sunk` a sunk term's composite panel.
+template <typename W>
+struct Weights;
+template <>
+struct Weights<float> {
+  using Acc = float;
+  static const float* panel(const OpPlan& op) { return op.wt.data(); }
+  static const float* rows(const OpPlan& op) { return op.wd.data(); }
+  static const float* sunk(const TermPlan& t) { return t.wt.data(); }
+};
+template <>
+struct Weights<std::int8_t> {
+  using Acc = std::int32_t;
+  static const std::int8_t* panel(const OpPlan& op) { return op.wq8t.data(); }
+  static const std::int8_t* rows(const OpPlan& op) { return op.wq8d.data(); }
+  static const std::int8_t* sunk(const TermPlan& t) { return t.wq8.data(); }
+};
+
+/// The accumulator as floats for the shared epilogue: fp32 as is, int32
+/// widened in place.
+const float* widen(float* acc, std::int64_t /*n*/) { return acc; }
+const float* widen(std::int32_t* acc, std::int64_t n) {
+  float* f = reinterpret_cast<float*>(acc);
+  convert_i32_to_f32(n, acc, f);
+  return f;
+}
+
+/// Dense-dispatch operand: fp32 plans read the values as they are; int8
+/// plans quantize them into `codes` with the op's input step.
+const float* operand(const OpPlan& /*op*/, std::int64_t /*n*/,
+                     const float* x, float* /*codes*/) {
+  return x;
+}
+const std::int8_t* operand(const OpPlan& op, std::int64_t n, const float* x,
+                           std::int8_t* codes) {
+  quantize_int8(n, x, 1.f / op.in_scale, codes);
+  return codes;
+}
+
+/// c(m, n) = a(m, k) * b(n, k)^T, c overwritten: gemm_nt, or int8 x int8
+/// into int32.
+void gemm_rows(std::int64_t m, std::int64_t n, std::int64_t k, const float* a,
+               const float* b, float* c) {
+  gemm_nt(m, n, k, 1.f, a, b, 0.f, c);
+}
+void gemm_rows(std::int64_t m, std::int64_t n, std::int64_t k,
+               const std::int8_t* a, const std::int8_t* b, std::int32_t* c) {
+  gemm_s8s32_nt(m, n, k, a, b, c);
+}
+
+/// One image's dense depthwise taps: DepthwiseConv2d's dense forward loop
+/// (bias and BN live in the epilogue); int8 operands accumulate in int32.
+template <typename W, typename Acc>
+void depthwise_taps(const ConvGeometry& g, const W* x, const W* bank,
+                    Acc* out) {
+  const std::int64_t k = g.kernel;
+  const std::int64_t h = g.in_h, wd = g.in_w;
+  const std::int64_t ho = g.out_h(), wo = g.out_w();
+  for (std::int64_t ch = 0; ch < g.in_c; ++ch) {
+    const W* plane = x + ch * h * wd;
+    const W* ker = bank + ch * k * k;
+    Acc* optr = out + ch * ho * wo;
+    for (std::int64_t oy = 0; oy < ho; ++oy) {
+      for (std::int64_t ox = 0; ox < wo; ++ox) {
+        Acc acc = 0;
+        for (std::int64_t ky = 0; ky < k; ++ky) {
+          const std::int64_t iy = oy * g.stride - g.pad + ky;
+          if (iy < 0 || iy >= h) continue;
+          for (std::int64_t kx = 0; kx < k; ++kx) {
+            const std::int64_t ix = ox * g.stride - g.pad + kx;
+            if (ix < 0 || ix >= wd) continue;
+            acc += static_cast<Acc>(ker[ky * k + kx]) *
+                   static_cast<Acc>(plane[iy * wd + ix]);
+          }
+        }
+        optr[oy * wo + ox] = acc;
+      }
+    }
+  }
+}
+
+/// Float slots of the int8 codes of `n` dense operand values (none for
+/// fp32, which reads its operand in place).
+template <typename W>
+std::int64_t code_floats(std::int64_t n) {
+  return std::is_same_v<W, float> ? 0 : (n + 3) / 4;
+}
+
 /// Floats of the dense conv path's cols slot: the main patch matrix or,
 /// if larger, a sunk projection's 1x1 patch matrix (op_scratch sizes the
 /// slot the same way).
-static std::int64_t cols_floats(const OpPlan& op) {
+std::int64_t cols_floats(const OpPlan& op) {
   std::int64_t f = op.geom.col_rows() * op.geom.out_h() * op.geom.out_w();
   for (const TermPlan& t : op.terms) {
     if (!t.sunk) continue;
@@ -232,7 +332,35 @@ static std::int64_t cols_floats(const OpPlan& op) {
   return f;
 }
 
+}  // namespace
+
+void Engine::count_dispatch(const OpPlan& op, bool packed) {
+  if (packed) {
+    ++stats_.packed_dispatches;
+    Telemetry::count("infer.packed_layers");
+    Telemetry::count(ctr_packed_.c_str());
+    return;
+  }
+  ++stats_.dense_dispatches;
+  Telemetry::count("infer.dense_layers");
+  Telemetry::count(ctr_dense_.c_str());
+  stats_.dense_macs += op.macs * active_;
+}
+
+// Weight ops, one body per op for both precisions (W = float or int8).
+// The packed mode accumulates binary events into a float or int32 panel
+// with pure row-adds (exact in int32), and int8's per-channel epilogue
+// scale (S[o] * bn_scale_t[o]) dequantizes in one multiply. The dense
+// mode assembles the fp32 input (including sunk-projection
+// rematerialization through the raw 1x1 weights); int8 then quantizes it
+// with the op's compile-time step, runs the int8 GEMM into int32, widens
+// in place and hands the epilogue ascale = in_scale (exactly 1.0 on fp32
+// plans). When every input term is binary (in_scale == 1.0) the int8
+// quantization is lossless and both modes are bitwise-equal.
+
+template <typename W>
 void Engine::exec_conv(const OpPlan& op) {
+  using Acc = typename Weights<W>::Acc;
   const std::int64_t n = active_;
   const std::int64_t p = op.geom.out_h() * op.geom.out_w();
   const std::int64_t o_c = op.out_c;
@@ -240,12 +368,12 @@ void Engine::exec_conv(const OpPlan& op) {
   const std::int64_t ckk = op.geom.col_rows();
 
   if (packed_dispatch(op)) {
-    ++stats_.packed_dispatches;
-    Telemetry::count("infer.packed_layers");
-    Telemetry::count(ctr_packed_.c_str());
-    float* panel = scratch_.data();  // (P, O) transposed accumulator
+    count_dispatch(op, /*packed=*/true);
+    // (P, O) transposed accumulator; an int32 panel has the float
+    // scratch's element count.
+    Acc* panel = reinterpret_cast<Acc*>(scratch_.data());
     for (std::int64_t img = 0; img < n; ++img) {
-      std::memset(panel, 0, static_cast<std::size_t>(p * o_c) * sizeof(float));
+      std::memset(panel, 0, static_cast<std::size_t>(p * o_c) * sizeof(Acc));
       for (const TermPlan& t : op.terms) {
         const ValuePlan& sv = val(t.value);
         const std::int64_t src_c = sv.shape[1];
@@ -255,301 +383,111 @@ void Engine::exec_conv(const OpPlan& op) {
           // Sunk projection: composite kernel over the original spiking
           // source, same output grid, accumulated into the same panel.
           stats_.synops += spike_packed_conv2d_term(
-              t.geom, src_c, w, nullptr, t.wt.data(), o_c, panel);
+              t.geom, src_c, w, nullptr, Weights<W>::sunk(t), o_c, panel);
         } else {
           stats_.synops += spike_packed_conv2d_term(
               op.geom, src_c, w, t.chrow.empty() ? nullptr : t.chrow.data(),
-              op.wt.data(), o_c, panel);
+              Weights<W>::panel(op), o_c, panel);
         }
       }
-      epilogue(op, img, panel, /*so=*/1, /*sp=*/o_c);
+      epilogue(op, img, widen(panel, p * o_c), /*so=*/1, /*sp=*/o_c);
     }
     return;
   }
 
-  ++stats_.dense_dispatches;
-  Telemetry::count("infer.dense_layers");
-  Telemetry::count(ctr_dense_.c_str());
-  stats_.dense_macs += op.macs * n;
+  count_dispatch(op, /*packed=*/false);
   float* assembled = scratch_.data();
   float* cols = assembled + in_img;
-  float* outr = cols + cols_floats(op);
+  const std::int64_t cols_f = cols_floats(op);
+  W* codes = reinterpret_cast<W*>(cols + cols_f);
+  Acc* outr = reinterpret_cast<Acc*>(cols + cols_f + code_floats<W>(ckk * p));
   for (std::int64_t img = 0; img < n; ++img) {
     assemble_image(op, img, assembled);
     sunk_into_assembled(op, img, assembled, cols);
     // Post-assembly, post-projection: exactly what the int8 dense path
     // will quantize — the range the calibration sweep needs.
     record_amax(assembled, in_img);
-    if (p < 16) {
-      // Few-pixel outputs (deep stages): gemm's 16-column microkernel
-      // degrades to scalar edge loops, so lower to weight rows x
-      // contiguous patch rows instead. Per-element summation stays in
-      // ascending-k order either way, so dense dispatch remains bitwise
-      // equal to the training eval forward.
-      im2row(op.geom, assembled, cols);
-      gemm_nt(o_c, p, ckk, 1.f, op.wd.data(), cols, 0.f, outr);
-    } else {
-      // The exact im2col + GEMM the training graph runs.
-      im2col(op.geom, assembled, cols);
-      gemm(o_c, p, ckk, 1.f, op.wd.data(), cols, 0.f, outr);
+    if constexpr (std::is_same_v<W, float>) {
+      if (p >= 16) {
+        // The exact im2col + GEMM the training graph runs.
+        im2col(op.geom, assembled, cols);
+        gemm(o_c, p, ckk, 1.f, op.wd.data(), cols, 0.f, outr);
+        epilogue(op, img, outr, /*so=*/p, /*sp=*/1);
+        continue;
+      }
     }
-    epilogue(op, img, outr, /*so=*/p, /*sp=*/1);
+    // Int8, and fp32 few-pixel outputs (deep stages, where gemm's
+    // 16-column microkernel degrades to scalar edge loops): weight rows x
+    // contiguous patch rows. Per-element summation stays in ascending-k
+    // order either way, so fp32 dense dispatch remains bitwise equal to
+    // the training eval forward.
+    im2row(op.geom, assembled, cols);
+    gemm_rows(o_c, p, ckk, Weights<W>::rows(op),
+              operand(op, ckk * p, cols, codes), outr);
+    epilogue(op, img, widen(outr, o_c * p), /*so=*/p, /*sp=*/1, op.in_scale);
   }
 }
 
+template <typename W>
 void Engine::exec_dwconv(const OpPlan& op) {
+  using Acc = typename Weights<W>::Acc;
   const std::int64_t n = active_;
   const std::int64_t p = op.geom.out_h() * op.geom.out_w();
   const std::int64_t c = op.geom.in_c;
-  const std::int64_t k = op.geom.kernel;
   const std::int64_t in_img = c * op.geom.in_h * op.geom.in_w;
-  const float* w = op.wt.data();  // (C, K, K) bank
+  const W* bank = Weights<W>::panel(op);  // (C, K, K)
 
   if (packed_dispatch(op)) {
-    ++stats_.packed_dispatches;
-    Telemetry::count("infer.packed_layers");
-    Telemetry::count(ctr_packed_.c_str());
-    float* acc = scratch_.data();  // (C, Ho, Wo)
+    count_dispatch(op, /*packed=*/true);
+    Acc* acc = reinterpret_cast<Acc*>(scratch_.data());  // (C, Ho, Wo)
     for (std::int64_t img = 0; img < n; ++img) {
-      std::memset(acc, 0, static_cast<std::size_t>(c * p) * sizeof(float));
+      std::memset(acc, 0, static_cast<std::size_t>(c * p) * sizeof(Acc));
       for (const TermPlan& t : op.terms) {
         const ValuePlan& sv = val(t.value);
         const std::uint64_t* wsrc =
             words(t.value) + img * (sv.words / sv.shape[0]);
         stats_.synops += spike_packed_depthwise_term(
             op.geom, sv.shape[1], wsrc,
-            t.chrow.empty() ? nullptr : t.chrow.data(), w, acc);
+            t.chrow.empty() ? nullptr : t.chrow.data(), bank, acc);
       }
-      epilogue(op, img, acc, /*so=*/p, /*sp=*/1);
+      epilogue(op, img, widen(acc, c * p), /*so=*/p, /*sp=*/1);
     }
     return;
   }
 
-  ++stats_.dense_dispatches;
-  Telemetry::count("infer.dense_layers");
-  Telemetry::count(ctr_dense_.c_str());
-  stats_.dense_macs += op.macs * n;
+  count_dispatch(op, /*packed=*/false);
   float* assembled = scratch_.data();
-  float* outr = assembled + in_img;
-  const std::int64_t h = op.geom.in_h, wd = op.geom.in_w;
-  const std::int64_t ho = op.geom.out_h(), wo = op.geom.out_w();
-  const std::int64_t stride = op.geom.stride, pad = op.geom.pad;
+  W* codes = reinterpret_cast<W*>(assembled + in_img);
+  Acc* outr =
+      reinterpret_cast<Acc*>(assembled + in_img + code_floats<W>(in_img));
   for (std::int64_t img = 0; img < n; ++img) {
     assemble_image(op, img, assembled);
     record_amax(assembled, in_img);
-    // Same per-tap loop as DepthwiseConv2d's dense forward (bias and BN
-    // live in the epilogue).
-    for (std::int64_t ch = 0; ch < c; ++ch) {
-      const float* plane = assembled + ch * h * wd;
-      const float* ker = w + ch * k * k;
-      float* optr = outr + ch * p;
-      for (std::int64_t oy = 0; oy < ho; ++oy) {
-        for (std::int64_t ox = 0; ox < wo; ++ox) {
-          float acc = 0.f;
-          for (std::int64_t ky = 0; ky < k; ++ky) {
-            const std::int64_t iy = oy * stride - pad + ky;
-            if (iy < 0 || iy >= h) continue;
-            for (std::int64_t kx = 0; kx < k; ++kx) {
-              const std::int64_t ix = ox * stride - pad + kx;
-              if (ix < 0 || ix >= wd) continue;
-              acc += ker[ky * k + kx] * plane[iy * wd + ix];
-            }
-          }
-          optr[oy * wo + ox] = acc;
-        }
-      }
-    }
-    epilogue(op, img, outr, /*so=*/p, /*sp=*/1);
+    depthwise_taps(op.geom, operand(op, in_img, assembled, codes), bank,
+                   outr);
+    epilogue(op, img, widen(outr, c * p), /*so=*/p, /*sp=*/1, op.in_scale);
   }
 }
 
+template <typename W>
 void Engine::exec_linear(const OpPlan& op) {
+  using Acc = typename Weights<W>::Acc;
   const TermPlan& t = op.terms.front();
   const std::int64_t n = active_;
   const std::int64_t in_f = t.channels;
   const std::int64_t o_f = op.out_c;
-  ++stats_.dense_dispatches;
-  Telemetry::count("infer.dense_layers");
-  Telemetry::count(ctr_dense_.c_str());
-  stats_.dense_macs += op.macs * n;
+  count_dispatch(op, /*packed=*/false);
   record_amax(dense(t.value), n * in_f);
-  float* outr = scratch_.data();  // (N, O)
+  W* codes = reinterpret_cast<W*>(scratch_.data());
+  Acc* outr =
+      reinterpret_cast<Acc*>(scratch_.data() + code_floats<W>(n * in_f));
   // out(N, O) = x(N, I) * W(O, I)^T — Linear::forward's dense GEMM; the
   // bias moves to the epilogue.
-  gemm_nt(n, o_f, in_f, 1.f, dense(t.value), op.wt.data(), 0.f, outr);
+  gemm_rows(n, o_f, in_f, operand(op, n * in_f, dense(t.value), codes),
+            Weights<W>::rows(op), outr);
+  const float* out = widen(outr, n * o_f);
   for (std::int64_t img = 0; img < n; ++img) {
-    epilogue(op, img, outr + img * o_f, /*so=*/1, /*sp=*/1);
-  }
-}
-
-// ---- int8 execution (ISSUE 10) --------------------------------------------
-//
-// The same two dispatch modes as fp32: the packed mode accumulates binary
-// events into an int32 panel with the int8 event kernels — pure integer
-// adds, exact, and the epilogue's per-channel scale (S[o] * bn_scale_t[o])
-// dequantizes in one multiply. The dense mode assembles the fp32 input
-// exactly like the fp32 engine (including sunk-projection
-// rematerialization through the raw 1x1 weights), quantizes it with the
-// op's compile-time step, runs the int8 GEMM into int32, widens in place,
-// and hands the epilogue ascale = in_scale. When every input term is
-// binary (in_scale == 1.0) the quantization is lossless and both modes are
-// bitwise-equal.
-
-void Engine::exec_conv_i8(const OpPlan& op) {
-  const std::int64_t n = active_;
-  const std::int64_t p = op.geom.out_h() * op.geom.out_w();
-  const std::int64_t o_c = op.out_c;
-  const std::int64_t in_img = op.geom.in_c * op.geom.in_h * op.geom.in_w;
-  const std::int64_t ckk = op.geom.col_rows();
-
-  if (packed_dispatch(op)) {
-    ++stats_.packed_dispatches;
-    Telemetry::count("infer.packed_layers");
-    Telemetry::count(ctr_packed_.c_str());
-    // (P, O) int32 panel carved from the float scratch (same element
-    // count); widened to float in place before the shared epilogue.
-    std::int32_t* panel = reinterpret_cast<std::int32_t*>(scratch_.data());
-    for (std::int64_t img = 0; img < n; ++img) {
-      std::memset(panel, 0,
-                  static_cast<std::size_t>(p * o_c) * sizeof(std::int32_t));
-      for (const TermPlan& t : op.terms) {
-        const ValuePlan& sv = val(t.value);
-        const std::int64_t src_c = sv.shape[1];
-        const std::uint64_t* w =
-            words(t.value) + img * (sv.words / sv.shape[0]);
-        if (t.sunk) {
-          stats_.synops += spike_packed_conv2d_term_i8(
-              t.geom, src_c, w, nullptr, t.wq8.data(), o_c, panel);
-        } else {
-          stats_.synops += spike_packed_conv2d_term_i8(
-              op.geom, src_c, w, t.chrow.empty() ? nullptr : t.chrow.data(),
-              op.wq8t.data(), o_c, panel);
-        }
-      }
-      convert_i32_to_f32(p * o_c, panel, scratch_.data());
-      epilogue(op, img, scratch_.data(), /*so=*/1, /*sp=*/o_c);
-    }
-    return;
-  }
-
-  ++stats_.dense_dispatches;
-  Telemetry::count("infer.dense_layers");
-  Telemetry::count(ctr_dense_.c_str());
-  stats_.dense_macs += op.macs * n;
-  float* assembled = scratch_.data();
-  float* cols = assembled + in_img;
-  const std::int64_t cols_f = cols_floats(op);
-  std::int8_t* q8 = reinterpret_cast<std::int8_t*>(cols + cols_f);
-  const std::int64_t qf = (ckk * p + 3) / 4;  // int8 codes, float slots
-  std::int32_t* ipanel =
-      reinterpret_cast<std::int32_t*>(cols + cols_f + qf);
-  float* fpanel = cols + cols_f + qf;
-  const float inv = 1.f / op.in_scale;
-  for (std::int64_t img = 0; img < n; ++img) {
-    assemble_image(op, img, assembled);
-    sunk_into_assembled(op, img, assembled, cols);
-    im2row(op.geom, assembled, cols);
-    quantize_int8(ckk * p, cols, inv, q8);
-    gemm_s8s32_nt(o_c, p, ckk, op.wq8d.data(), q8, ipanel);
-    convert_i32_to_f32(o_c * p, ipanel, fpanel);
-    epilogue(op, img, fpanel, /*so=*/p, /*sp=*/1, op.in_scale);
-  }
-}
-
-void Engine::exec_dwconv_i8(const OpPlan& op) {
-  const std::int64_t n = active_;
-  const std::int64_t p = op.geom.out_h() * op.geom.out_w();
-  const std::int64_t c = op.geom.in_c;
-  const std::int64_t k = op.geom.kernel;
-  const std::int64_t in_img = c * op.geom.in_h * op.geom.in_w;
-  const std::int8_t* bank = op.wq8t.data();  // (C, K, K) int8 bank
-
-  if (packed_dispatch(op)) {
-    ++stats_.packed_dispatches;
-    Telemetry::count("infer.packed_layers");
-    Telemetry::count(ctr_packed_.c_str());
-    std::int32_t* acc = reinterpret_cast<std::int32_t*>(scratch_.data());
-    for (std::int64_t img = 0; img < n; ++img) {
-      std::memset(acc, 0,
-                  static_cast<std::size_t>(c * p) * sizeof(std::int32_t));
-      for (const TermPlan& t : op.terms) {
-        const ValuePlan& sv = val(t.value);
-        const std::uint64_t* wsrc =
-            words(t.value) + img * (sv.words / sv.shape[0]);
-        stats_.synops += spike_packed_depthwise_term_i8(
-            op.geom, sv.shape[1], wsrc,
-            t.chrow.empty() ? nullptr : t.chrow.data(), bank, acc);
-      }
-      convert_i32_to_f32(c * p, acc, scratch_.data());
-      epilogue(op, img, scratch_.data(), /*so=*/p, /*sp=*/1);
-    }
-    return;
-  }
-
-  ++stats_.dense_dispatches;
-  Telemetry::count("infer.dense_layers");
-  Telemetry::count(ctr_dense_.c_str());
-  stats_.dense_macs += op.macs * n;
-  float* assembled = scratch_.data();
-  std::int8_t* q8 = reinterpret_cast<std::int8_t*>(assembled + in_img);
-  const std::int64_t qf = (in_img + 3) / 4;
-  std::int32_t* iacc =
-      reinterpret_cast<std::int32_t*>(assembled + in_img + qf);
-  float* facc = assembled + in_img + qf;
-  const std::int64_t h = op.geom.in_h, wd = op.geom.in_w;
-  const std::int64_t ho = op.geom.out_h(), wo = op.geom.out_w();
-  const std::int64_t stride = op.geom.stride, pad = op.geom.pad;
-  const float inv = 1.f / op.in_scale;
-  for (std::int64_t img = 0; img < n; ++img) {
-    assemble_image(op, img, assembled);
-    quantize_int8(in_img, assembled, inv, q8);
-    // The fp32 per-tap loop with int8 operands and an int32 accumulator.
-    for (std::int64_t ch = 0; ch < c; ++ch) {
-      const std::int8_t* plane = q8 + ch * h * wd;
-      const std::int8_t* ker = bank + ch * k * k;
-      std::int32_t* optr = iacc + ch * p;
-      for (std::int64_t oy = 0; oy < ho; ++oy) {
-        for (std::int64_t ox = 0; ox < wo; ++ox) {
-          std::int32_t acc = 0;
-          for (std::int64_t ky = 0; ky < k; ++ky) {
-            const std::int64_t iy = oy * stride - pad + ky;
-            if (iy < 0 || iy >= h) continue;
-            for (std::int64_t kx = 0; kx < k; ++kx) {
-              const std::int64_t ix = ox * stride - pad + kx;
-              if (ix < 0 || ix >= wd) continue;
-              acc += static_cast<std::int32_t>(ker[ky * k + kx]) *
-                     static_cast<std::int32_t>(plane[iy * wd + ix]);
-            }
-          }
-          optr[oy * wo + ox] = acc;
-        }
-      }
-    }
-    convert_i32_to_f32(c * p, iacc, facc);
-    epilogue(op, img, facc, /*so=*/p, /*sp=*/1, op.in_scale);
-  }
-}
-
-void Engine::exec_linear_i8(const OpPlan& op) {
-  const TermPlan& t = op.terms.front();
-  const std::int64_t n = active_;
-  const std::int64_t in_f = t.channels;
-  const std::int64_t o_f = op.out_c;
-  ++stats_.dense_dispatches;
-  Telemetry::count("infer.dense_layers");
-  Telemetry::count(ctr_dense_.c_str());
-  stats_.dense_macs += op.macs * n;
-  std::int8_t* q8 = reinterpret_cast<std::int8_t*>(scratch_.data());
-  const std::int64_t qf = (n * in_f + 3) / 4;
-  std::int32_t* iout =
-      reinterpret_cast<std::int32_t*>(scratch_.data() + qf);
-  float* fout = scratch_.data() + qf;
-  quantize_int8(n * in_f, dense(t.value), 1.f / op.in_scale, q8);
-  // out(N, O) = qx(N, I) * Wq(O, I)^T in int32; dequant in the epilogue.
-  gemm_s8s32_nt(n, o_f, in_f, q8, op.wq8d.data(), iout);
-  convert_i32_to_f32(n * o_f, iout, fout);
-  for (std::int64_t img = 0; img < n; ++img) {
-    epilogue(op, img, fout + img * o_f, /*so=*/1, /*sp=*/1, op.in_scale);
+    epilogue(op, img, out + img * o_f, /*so=*/1, /*sp=*/1, op.in_scale);
   }
 }
 

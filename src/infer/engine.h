@@ -25,6 +25,12 @@
 // writes the output's dense mirror, its packed mask, and the exact spike
 // popcount in one pass.
 //
+// Precision is carried by the plan's weights, not by forked ops: each
+// weight op (conv, depthwise, linear) is one body templated on the weight
+// type. Int8 plans run it with int8 weights and an int32 accumulator,
+// widened to float in place before the shared epilogue, and their dense
+// mode quantizes the assembled input with the op's calibrated step.
+//
 // Runtime configuration (ISSUE 7): dispatch switches are PER ENGINE.
 // Each Engine snapshots an ExecOptions at construction and never consults
 // process-global state afterwards, so concurrent engines with different
@@ -131,15 +137,15 @@ class Engine {
 
   void write_input(const Tensor& x);
   void exec_op(const OpPlan& op);
+  // Weight ops, one body each for both plan precisions: W is the weight
+  // type (float, or std::int8_t for int8 plans, whose packed panels and
+  // dense GEMMs accumulate in int32 and dequantize in the epilogue).
+  template <typename W>
   void exec_conv(const OpPlan& op);
+  template <typename W>
   void exec_dwconv(const OpPlan& op);
+  template <typename W>
   void exec_linear(const OpPlan& op);
-  // Int8-plan twins (ISSUE 10): packed int8 event kernels (int32 panel)
-  // or dense int8 GEMM (quantize assembled input, int8xint8->int32,
-  // dequant in the epilogue).
-  void exec_conv_i8(const OpPlan& op);
-  void exec_dwconv_i8(const OpPlan& op);
-  void exec_linear_i8(const OpPlan& op);
   void exec_dsc_gather(const OpPlan& op);
   void exec_avgpool(const OpPlan& op);
   void exec_gap(const OpPlan& op);
@@ -149,6 +155,10 @@ class Engine {
   /// True when every input term carries a valid packed mask and their
   /// measured density is below the threshold: run the event kernels.
   bool packed_dispatch(const OpPlan& op) const;
+
+  /// Dispatch stats and telemetry for one weight op (dense dispatch also
+  /// charges the op's MACs for the live images).
+  void count_dispatch(const OpPlan& op, bool packed);
 
   /// Dense-assemble one image's op input (main copy, ADD-join axpys,
   /// concat gathers — the training graph's assemble_input, bitwise).
@@ -167,10 +177,10 @@ class Engine {
   /// one image, writing the output's dense mirror, packed mask bits, and
   /// popcount. `so`/`sp` are the accumulator's channel/spatial strides
   /// (packed panels are (P, O): so=1, sp=O; dense outputs are (O, P):
-  /// so=P, sp=1). `ascale` is the int8 dense path's input quantization
-  /// step, folded into the per-channel scale (eff[o] = ascale * sc[o]);
-  /// 1.0 everywhere else (exact — multiplying a float by 1.0 is the
-  /// identity, so fp32 plans are untouched).
+  /// so=P, sp=1). `ascale` is the dense path's input quantization step
+  /// (OpPlan::in_scale), folded into the per-channel scale (eff[o] =
+  /// ascale * sc[o]); it is 1.0 on the packed path and on fp32 plans
+  /// (exact — multiplying a float by 1.0 is the identity).
   void epilogue(const OpPlan& op, std::int64_t img, const float* acc,
                 std::int64_t so, std::int64_t sp, float ascale = 1.f);
 

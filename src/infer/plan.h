@@ -149,12 +149,14 @@ struct OpPlan {
 
   // Weights: ONE raw copy, the BNTT transform lives in the epilogue.
   // `wt` is the transposed ((c,ky,kx), o) panel the packed event kernels
-  // consume; DwConv stores its (C, K, K) bank here unchanged; Linear
-  // stores (O, I) row-major. Convs additionally keep the (O, C*K*K)
-  // row-major layout in `wd` so dense dispatch runs the exact GEMM the
-  // training graph runs. `scale`/`bias` hold one epilogue vector per BNTT
-  // timestep; fp32 plans leave `scale` empty for ops without BN
-  // (projections, the head linear, standalone neurons).
+  // consume; DwConv stores its (C, K, K) bank here unchanged. `wd` holds
+  // the row-major rows the dense GEMM reads: a conv's (O, C*K*K) layout,
+  // so dense dispatch runs the exact GEMM the training graph runs, and
+  // Linear's (O, I). The int8 fields below mirror these two roles, so
+  // the engine's one op body per kind picks its weights by type.
+  // `scale`/`bias` hold one epilogue vector per BNTT timestep; fp32 plans
+  // leave `scale` empty for ops without BN (projections, the head linear,
+  // standalone neurons).
   std::vector<float> wt;
   std::vector<float> wd;
   std::vector<std::vector<float>> bias;   ///< BN shift (+ layer bias) per t
@@ -165,10 +167,11 @@ struct OpPlan {
   // with every sunk term's composite rows). `wq8t` is the transposed
   // ((c,ky,kx), o) panel for the packed event kernel (DwConv: the
   // (C, K, K) bank); `wq8d` keeps the (O, CKK) rows for the dense int8
-  // GEMM (Linear: the (O, I) rows). `scale` then holds the DEQUANT
-  // scales per timestep (S[o] * bn_scale_t[o]) and `bias` the per-t
-  // shifts — the same epilogue mechanism as fp32 plans, which is what
-  // keeps one weight copy sufficient across all BNTT timesteps.
+  // GEMM (Linear: the (O, I) rows) — the roles of `wt` and `wd`.
+  // `scale` then holds the DEQUANT scales per timestep
+  // (S[o] * bn_scale_t[o]) and `bias` the per-t shifts — the same
+  // epilogue mechanism as fp32 plans, which is what keeps one weight copy
+  // sufficient across all BNTT timesteps.
   std::vector<std::int8_t> wq8t;
   std::vector<std::int8_t> wq8d;
   /// Int8 dense dispatch: the input quantization STEP (dequant
@@ -176,7 +179,8 @@ struct OpPlan {
   /// when every input term is binary spikes and none is sunk — assembled
   /// values are then small integers and quantization is exact, making
   /// dense and packed int8 dispatch bitwise-equal. Otherwise calibrated
-  /// from a QuantProfile (amax / 127; default amax 1.0).
+  /// from a QuantProfile (amax / 127; default amax 1.0). Fp32 plans keep
+  /// 1.0 (no input quantization).
   float in_scale = 1.f;
 
   // Fused neuron parameters (epi == Lif).

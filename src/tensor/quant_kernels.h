@@ -13,10 +13,13 @@
 // int32; dequantization happens once in the conv epilogue as
 // a * S[o] * bn_scale_t[o] — so the BNTT fold costs one float vector per
 // timestep instead of one weight copy per timestep.
+//
+// The int8 packed event walks are not here: spike_packed.h overloads
+// spike_packed_conv2d_term / spike_packed_depthwise_term on int8 weights
+// with an int32 panel — the fp32 walk's body, instantiated by this
+// table (quant_kernels_impl.h).
 
 #include <cstdint>
-
-#include "tensor/im2col.h"
 
 namespace snnskip {
 
@@ -34,24 +37,5 @@ void convert_i32_to_f32(std::int64_t n, const std::int32_t* src, float* dst);
 void gemm_s8s32_nt(std::int64_t m, std::int64_t n, std::int64_t k,
                    const std::int8_t* a, const std::int8_t* b,
                    std::int32_t* c);
-
-/// Int8 twin of spike_packed_conv2d_term: accumulate one packed input
-/// term into the transposed int32 panel `outt` ((Ho*Wo, O) rows). Same
-/// contracts (chrow mapping, event order, returned accumulate count).
-std::int64_t spike_packed_conv2d_term_i8(const ConvGeometry& g,
-                                         std::int64_t src_c,
-                                         const std::uint64_t* words,
-                                         const std::int32_t* chrow,
-                                         const std::int8_t* wt,
-                                         std::int64_t out_c,
-                                         std::int32_t* outt);
-
-/// Int8 twin of spike_packed_depthwise_term ((C, Ho, Wo) int32 acc).
-std::int64_t spike_packed_depthwise_term_i8(const ConvGeometry& g,
-                                            std::int64_t src_c,
-                                            const std::uint64_t* words,
-                                            const std::int32_t* chrow,
-                                            const std::int8_t* weight,
-                                            std::int32_t* acc);
 
 }  // namespace snnskip

@@ -147,15 +147,14 @@ struct QuantKernels {
   void (*gemm_s8s32_nt)(std::int64_t m, std::int64_t n, std::int64_t k,
                         const std::int8_t* a, const std::int8_t* b,
                         std::int32_t* c);
-  std::int64_t (*packed_conv2d_term_i8)(const ConvGeometry&, std::int64_t,
+  std::int64_t (*packed_conv2d_term)(const ConvGeometry&, std::int64_t,
+                                     const std::uint64_t*,
+                                     const std::int32_t*, const std::int8_t*,
+                                     std::int64_t, std::int32_t*);
+  std::int64_t (*packed_depthwise_term)(const ConvGeometry&, std::int64_t,
                                         const std::uint64_t*,
                                         const std::int32_t*,
-                                        const std::int8_t*, std::int64_t,
-                                        std::int32_t*);
-  std::int64_t (*packed_depthwise_term_i8)(const ConvGeometry&, std::int64_t,
-                                           const std::uint64_t*,
-                                           const std::int32_t*,
-                                           const std::int8_t*, std::int32_t*);
+                                        const std::int8_t*, std::int32_t*);
 };
 
 const QuantKernels* quant_kernels_scalar();

@@ -72,6 +72,26 @@ inline void add_rows(std::int64_t n, const float* __restrict x,
   for (; i < n; ++i) y[i] += x[i];
 }
 
+/// y[0..n) += x[0..n) with x int8 widened to int32 — the int8 plans'
+/// packed accumulation. Pure integer adds: every level is exactly equal.
+template <bool V>
+inline void add_rows(std::int64_t n, const std::int8_t* __restrict x,
+                     std::int32_t* __restrict y) {
+  std::int64_t i = 0;
+#if defined(__AVX2__)
+  if constexpr (V) {
+    for (; i + 8 <= n; i += 8) {
+      const __m128i x8 =
+          _mm_loadl_epi64(reinterpret_cast<const __m128i*>(x + i));
+      __m256i yv = _mm256_loadu_si256(reinterpret_cast<__m256i*>(y + i));
+      yv = _mm256_add_epi32(yv, _mm256_cvtepi8_epi32(x8));
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(y + i), yv);
+    }
+  }
+#endif
+  for (; i < n; ++i) y[i] += x[i];
+}
+
 /// y[0..n) += a (scalar broadcast; the bias add after the output flip).
 template <bool V>
 inline void add_scalar(std::int64_t n, float a, float* __restrict y) {
@@ -603,12 +623,19 @@ void depthwise_backward_weight(const ConvGeometry& g, const SpikeCsr& csr,
 }
 
 // ---- Packed-spike term kernels (bodies: see spike_packed.h) ----------------
+// One event walk per kernel, templated on the weight type W and the
+// accumulator type Acc: (float, float) for fp32 plans, (int8, int32) for
+// int8 plans (instantiated by the quant table, quant_kernels_impl.h).
+// Binary spikes make every accumulate a pure row-add, so the walk is
+// exact given the weights, and bit-equal across SIMD levels. V is kept
+// even where the body ignores it, so the scalar and -mavx2 translation
+// units never emit the same symbol.
 
-template <bool V, bool F>
+template <bool V, typename W, typename Acc>
 std::int64_t packed_conv2d_term(const ConvGeometry& g, std::int64_t src_c,
                                 const std::uint64_t* words,
-                                const std::int32_t* chrow, const float* wt,
-                                std::int64_t out_c, float* outt) {
+                                const std::int32_t* chrow, const W* wt,
+                                std::int64_t out_c, Acc* outt) {
   const std::int64_t h = g.in_h, w = g.in_w;
   const std::int64_t k = g.kernel, s = g.stride, pad = g.pad;
   const std::int64_t ho = g.out_h(), wo = g.out_w();
@@ -644,8 +671,8 @@ std::int64_t packed_conv2d_term(const ConvGeometry& g, std::int64_t src_c,
           if (tx < 0 || tx % s != 0) continue;
           const std::int64_t ox = tx / s;
           if (ox >= wo) continue;
-          const float* wrow = wt + ((row * k + ky) * k + kx) * out_c;
-          float* orow = outt + (oy * wo + ox) * out_c;
+          const W* wrow = wt + ((row * k + ky) * k + kx) * out_c;
+          Acc* orow = outt + (oy * wo + ox) * out_c;
           add_rows<V>(out_c, wrow, orow);
           synops += out_c;
         }
@@ -655,11 +682,11 @@ std::int64_t packed_conv2d_term(const ConvGeometry& g, std::int64_t src_c,
   return synops;
 }
 
-template <bool V, bool F>
+template <bool V, typename W, typename Acc>
 std::int64_t packed_depthwise_term(const ConvGeometry& g, std::int64_t src_c,
                                    const std::uint64_t* words,
-                                   const std::int32_t* chrow,
-                                   const float* weight, float* acc) {
+                                   const std::int32_t* chrow, const W* weight,
+                                   Acc* acc) {
   const std::int64_t h = g.in_h, w = g.in_w;
   const std::int64_t k = g.kernel, s = g.stride, pad = g.pad;
   const std::int64_t ho = g.out_h(), wo = g.out_w();
@@ -682,8 +709,8 @@ std::int64_t packed_depthwise_term(const ConvGeometry& g, std::int64_t src_c,
       const std::int64_t row =
           chrow != nullptr ? static_cast<std::int64_t>(chrow[c]) : c;
       if (row < 0) continue;
-      const float* ker = weight + row * k * k;
-      float* oplane = acc + row * ho * wo;
+      const W* ker = weight + row * k * k;
+      Acc* oplane = acc + row * ho * wo;
       for (std::int64_t ky = 0; ky < k; ++ky) {
         const std::int64_t ty = iy + pad - ky;
         if (ty < 0 || ty % s != 0) continue;
@@ -815,8 +842,8 @@ inline simd::SpikeKernels make_spike_table() {
       &transpose_tiled<V, false>,
       &transpose_tiled<V, true>,
       &count_nonzero_impl<V>,
-      &packed_conv2d_term<V, F>,
-      &packed_depthwise_term<V, F>,
+      &packed_conv2d_term<V, float, float>,
+      &packed_depthwise_term<V, float, float>,
       &lif_row<V, F>,
       &affine_row<V, F>,
   };

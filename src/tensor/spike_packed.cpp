@@ -38,7 +38,8 @@ std::int64_t popcount_words(const std::uint64_t* words, std::int64_t nwords) {
 
 // Term-kernel bodies live in spike_kernels_impl.h (they share the vector
 // primitives and dual-TU instantiation with the CSR kernels); these entry
-// points jump through the active SIMD level's table.
+// points jump through the active SIMD level's table — the spike table for
+// fp32 weights, the quant table for int8.
 
 std::int64_t spike_packed_conv2d_term(const ConvGeometry& g,
                                       std::int64_t src_c,
@@ -56,6 +57,26 @@ std::int64_t spike_packed_depthwise_term(const ConvGeometry& g,
                                          const std::int32_t* chrow,
                                          const float* weight, float* acc) {
   return simd::spike_ops().packed_depthwise_term(g, src_c, words, chrow,
+                                                 weight, acc);
+}
+
+std::int64_t spike_packed_conv2d_term(const ConvGeometry& g,
+                                      std::int64_t src_c,
+                                      const std::uint64_t* words,
+                                      const std::int32_t* chrow,
+                                      const std::int8_t* wt,
+                                      std::int64_t out_c, std::int32_t* outt) {
+  return simd::quant_ops().packed_conv2d_term(g, src_c, words, chrow, wt,
+                                              out_c, outt);
+}
+
+std::int64_t spike_packed_depthwise_term(const ConvGeometry& g,
+                                         std::int64_t src_c,
+                                         const std::uint64_t* words,
+                                         const std::int32_t* chrow,
+                                         const std::int8_t* weight,
+                                         std::int32_t* acc) {
+  return simd::quant_ops().packed_depthwise_term(g, src_c, words, chrow,
                                                  weight, acc);
 }
 

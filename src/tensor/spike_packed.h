@@ -46,28 +46,44 @@ std::int64_t spike_pack(const float* src, std::int64_t n,
 std::int64_t popcount_words(const std::uint64_t* words, std::int64_t nwords);
 
 /// Accumulate one packed input term of a conv layer into the transposed
-/// output panel `outt` (Ho*Wo rows of `out_c` contiguous floats) for a
-/// single image. `g` is the CONSUMER's geometry (g.in_c = its total input
+/// output panel `outt` (Ho*Wo rows of `out_c` contiguous accumulators) for
+/// a single image. `g` is the CONSUMER's geometry (g.in_c = its total input
 /// channels; g.in_h/in_w are shared with the source). `words` packs the
 /// source image's (src_c, H, W) spikes; `chrow` (size src_c, or null for
 /// identity) maps source channels to consumer input-channel rows of the
 /// transposed weight `wt` ((c,ky,kx), o layout), -1 dropping the channel.
 /// Returns the number of accumulates performed (exact synaptic-operation
-/// count for the energy model).
+/// count for the energy model). Two weight types share one event walk:
+/// fp32 rows into a float panel, and int8 rows (int8 plans, DESIGN.md
+/// §5k) widened into an int32 panel — pure integer adds, so the int8
+/// result is exact given the quantized weights.
 std::int64_t spike_packed_conv2d_term(const ConvGeometry& g,
                                       std::int64_t src_c,
                                       const std::uint64_t* words,
                                       const std::int32_t* chrow,
                                       const float* wt, std::int64_t out_c,
                                       float* outt);
+std::int64_t spike_packed_conv2d_term(const ConvGeometry& g,
+                                      std::int64_t src_c,
+                                      const std::uint64_t* words,
+                                      const std::int32_t* chrow,
+                                      const std::int8_t* wt,
+                                      std::int64_t out_c, std::int32_t* outt);
 
 /// Depthwise twin of spike_packed_conv2d_term: accumulate into the
 /// (C, Ho, Wo) accumulator `acc` for one image; `weight` is the layer's
-/// (C, 1, K, K) kernel bank. Returns the accumulate count.
+/// (C, 1, K, K) kernel bank (fp32 or int8, as above). Returns the
+/// accumulate count.
 std::int64_t spike_packed_depthwise_term(const ConvGeometry& g,
                                          std::int64_t src_c,
                                          const std::uint64_t* words,
                                          const std::int32_t* chrow,
                                          const float* weight, float* acc);
+std::int64_t spike_packed_depthwise_term(const ConvGeometry& g,
+                                         std::int64_t src_c,
+                                         const std::uint64_t* words,
+                                         const std::int32_t* chrow,
+                                         const std::int8_t* weight,
+                                         std::int32_t* acc);
 
 }  // namespace snnskip

@@ -1,18 +1,25 @@
 // Property-based tests: invariants that must hold for EVERY admissible
 // topology, checked over seeded random samples of the search spaces —
 // shapes, gradient flow, spike binarity, firing-rate bounds, MAC
-// monotonicity, weight-store round trips, and search-trace consistency.
+// monotonicity, weight-store round trips, compiled-engine agreement with
+// the training graph, and search-trace consistency.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "core/adapter.h"
 #include "core/evaluator.h"
 #include "core/search_space.h"
 #include "graph/mac_counter.h"
+#include "infer/compile.h"
+#include "infer/engine.h"
+#include "infer/quant.h"
 #include "models/zoo.h"
 #include "nn/loss.h"
+#include "tensor/cpu_features.h"
+#include "tensor/spike_kernels.h"
 #include "train/evaluate.h"
 #include "train/trainer.h"
 #include "train/weight_store.h"
@@ -169,6 +176,126 @@ TEST_P(RandomTopology, TrainStepIsFiniteAndDeterministic) {
   const double l2 = run_once();
   EXPECT_TRUE(std::isfinite(l1));
   EXPECT_EQ(l1, l2);  // full determinism: same seeds, same loss
+}
+
+// --- compiled engine vs the training graph (differential) ------------------
+
+/// Restores the process-wide dispatch switches a test forces.
+struct DispatchGuard {
+  bool sparse = SparseExec::enabled();
+  float threshold = SparseExec::threshold();
+  SimdLevel simd = active_simd();
+  ~DispatchGuard() {
+    SparseExec::set_enabled(sparse);
+    SparseExec::set_threshold(threshold);
+    set_active_simd(simd);
+  }
+};
+
+std::vector<Tensor> training_eval(Network& net, const std::vector<Tensor>& xs) {
+  net.reset_state();
+  std::vector<Tensor> outs;
+  for (const Tensor& x : xs) outs.push_back(net.forward(x, false));
+  net.reset_state();
+  return outs;
+}
+
+std::vector<Tensor> engine_eval(infer::Engine& eng,
+                                const std::vector<Tensor>& xs) {
+  eng.reset();
+  std::vector<Tensor> outs;
+  for (const Tensor& x : xs) outs.push_back(eng.step(x));
+  return outs;
+}
+
+float max_step_diff(const std::vector<Tensor>& a,
+                    const std::vector<Tensor>& b) {
+  EXPECT_EQ(a.size(), b.size());
+  float worst = 0.f;
+  for (std::size_t i = 0; i < a.size() && i < b.size(); ++i) {
+    worst = std::max(worst, Tensor::max_abs_diff(a[i], b[i]));
+  }
+  return worst;
+}
+
+TEST_P(RandomTopology, CompiledEngineMatchesTrainingEval) {
+  // Every random topology of every family — DSC gathers, ASC sinking
+  // with stride and channel mismatch, depthwise ADD joins — compiled and
+  // checked against the training eval forward at every timestep. The
+  // 0.5 threshold keeps these width-4 nets firing: at 1.0 resnet18s and
+  // densenet121s give all-zero logits on every seed, and a comparison of
+  // zeros proves nothing.
+  DispatchGuard guard;
+  ModelConfig cfg = prop_model_cfg(GetParam().seed);
+  cfg.lif.threshold = 0.5f;
+  Network net =
+      build_model(GetParam().model, cfg, random_adjacencies(cfg));
+  const Shape in{2, 2, 16, 16};
+  Rng rng(GetParam().seed + 7);
+  // A few train-mode steps give BNTT non-trivial running stats.
+  net.reset_state();
+  for (int t = 0; t < 3; ++t) {
+    net.forward(Tensor::bernoulli(in, rng, 0.3f), /*train=*/true);
+  }
+  std::vector<Tensor> xs;
+  for (int t = 0; t < 3; ++t) xs.push_back(Tensor::bernoulli(in, rng, 0.25f));
+
+  // fp32 dense dispatch runs the training graph's dense arithmetic.
+  SparseExec::set_enabled(false);
+  const auto ref_dense = training_eval(net, xs);
+  bool fired = false;
+  for (const Tensor& o : ref_dense) {
+    for (std::int64_t i = 0; i < o.numel(); ++i) fired |= o.data()[i] != 0.f;
+  }
+  EXPECT_TRUE(fired) << "all-zero logits: the comparison is vacuous";
+  const infer::PlanPtr fplan = infer::compile(net, in);
+  infer::Engine dense_eng(fplan, infer::ExecOptions{0.f});
+  EXPECT_EQ(max_step_diff(ref_dense, engine_eval(dense_eng, xs)), 0.f);
+
+  // fp32 packed dispatch against the training graph's event path: ADD
+  // joins accumulate term by term, so agreement is to rounding.
+  SparseExec::set_enabled(true);
+  SparseExec::set_threshold(1.f);
+  const auto ref_sparse = training_eval(net, xs);
+  infer::Engine packed_eng(fplan, infer::ExecOptions{1.f});
+  EXPECT_LE(max_step_diff(ref_sparse, engine_eval(packed_eng, xs)), 1e-4f);
+  EXPECT_GT(packed_eng.stats().packed_dispatches, 0);
+
+  // Scalar and AVX2 kernel tables agree bit for bit, fp32 and int8, in
+  // both dispatch modes.
+  if (!simd_avx2_compiled() || !cpu_has_avx2()) {
+    GTEST_SKIP() << "AVX2 not compiled in or not supported by host";
+  }
+  const infer::QuantProfile prof = infer::calibrate_quant(fplan, {xs});
+  infer::CompileOptions qopts;
+  qopts.precision = infer::Precision::Int8;
+  qopts.quant = &prof;
+  const infer::PlanPtr qplan = infer::compile(net, in, qopts);
+  for (const infer::PlanPtr& plan : {fplan, qplan}) {
+    for (const float threshold : {0.f, 1.f}) {
+      const SimdLevel levels[2] = {SimdLevel::Scalar, SimdLevel::Avx2};
+      std::vector<Tensor> outs[2];
+      infer::ExecStats stats[2];
+      for (int l = 0; l < 2; ++l) {
+        ASSERT_EQ(set_active_simd(levels[l]), levels[l]);
+        infer::Engine eng(plan, infer::ExecOptions{threshold});
+        outs[l] = engine_eval(eng, xs);
+        stats[l] = eng.stats();
+      }
+      const std::string what = std::string(precision_name(plan->precision)) +
+                               " threshold " + std::to_string(threshold);
+      ASSERT_EQ(outs[0].size(), outs[1].size());
+      for (std::size_t t = 0; t < outs[0].size(); ++t) {
+        EXPECT_EQ(std::memcmp(outs[0][t].data(), outs[1][t].data(),
+                              static_cast<std::size_t>(outs[0][t].numel()) *
+                                  sizeof(float)),
+                  0)
+            << what << " step " << t;
+      }
+      EXPECT_EQ(stats[0].spikes, stats[1].spikes) << what;
+      EXPECT_EQ(stats[0].synops, stats[1].synops) << what;
+    }
+  }
 }
 
 std::vector<PropCase> prop_cases() {
