@@ -2,14 +2,15 @@
 //
 // Sweeps firing rate x channel count over ResNet-18S-shaped 3x3 convs and
 // times a combined train-mode forward + backward pass with the sparse
-// path on vs forced dense, emitting BENCH_spike_bptt.json (mean ns/step
-// per mode, speedup, achieved input/gradient density, and the retained
-// BPTT context bytes for each mode).
+// path on (event forward, dW from the saved events) vs forced dense,
+// emitting BENCH_spike_bptt.json (mean ns/step per mode, speedup, achieved
+// input/gradient density, and the retained BPTT context bytes for each
+// mode).
 //
-// The gradient fed to backward is a bernoulli mask times normal noise at
-// the same rate as the input — the shape of a surrogate active set (with
-// Boxcar, sigma' is exactly zero outside its window, so dL/dx arrives
-// mostly hard zeros).
+// The gradient fed to backward is the one a conv receives in training:
+// every conv feeds BatchNormTT, whose train-mode backward mixes every
+// element of a channel, so the conv sees a dense tensor. dX is therefore
+// the dense gemm_tn + col2im in both modes.
 //
 // Unlike the forward-path bench (1e-4 tolerance), the backward kernels
 // promise BIT-FOR-BIT equality with the dense gemm path, so every
@@ -25,6 +26,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "nn/batchnorm_tt.h"
 #include "nn/conv2d.h"
 #include "telemetry/retained.h"
 #include "tensor/spike_kernels.h"
@@ -41,14 +43,14 @@ struct ConvShape {
   std::int64_t hw;  // square spatial size
 };
 
-// Bernoulli(rate) mask times N(0,1): a surrogate-style sparse gradient.
-Tensor sparse_grad(const Shape& shape, Rng& rng, double rate) {
-  Tensor mask = Tensor::bernoulli(shape, rng, static_cast<float>(rate));
-  Tensor noise = Tensor::randn(shape, rng);
-  float* m = mask.data();
-  const float* z = noise.data();
-  for (std::int64_t i = 0; i < mask.numel(); ++i) m[i] *= z[i];
-  return mask;
+// The gradient BNTT hands the conv: one train-mode BatchNormTT forward on
+// the conv's output, then its backward of an N(0,1) dL/dx from the neuron
+// above (the default FastSigmoid surrogate is nonzero everywhere).
+Tensor bntt_grad(Conv2d& conv, const Tensor& x, Rng& rng) {
+  const Tensor y = conv.forward(x, /*train=*/false);
+  BatchNormTT bn(conv.out_channels(), /*max_timesteps=*/1);
+  (void)bn.forward(y, /*train=*/true);
+  return bn.backward(Tensor::randn(y.shape(), rng));
 }
 
 // One train-mode step: zero grads, forward, backward. Returns dX.
@@ -110,7 +112,6 @@ int run(int argc, char** argv) {
               "held_sparse", "held_dense");
 
   const bool fwd_was = SparseExec::enabled();
-  const bool bwd_was = SparseExec::bwd_enabled();
   bool all_equal = true;
   for (const ConvShape& sh : shapes) {
     Rng rng(42);
@@ -119,12 +120,11 @@ int run(int argc, char** argv) {
     for (double rate : rates) {
       const Shape in_shape{1, sh.channels, sh.hw, sh.hw};
       Tensor x = Tensor::bernoulli(in_shape, rng, static_cast<float>(rate));
-      Tensor g = sparse_grad(conv.output_shape(in_shape), rng, rate);
+      Tensor g = bntt_grad(conv, x, rng);
       const double in_density = x.nonzero_fraction();
       const double grad_density = g.nonzero_fraction();
 
       SparseExec::set_enabled(true);
-      SparseExec::set_bwd_enabled(true);
       Tensor dx_sparse = step(conv, x, g);
       Tensor dw_sparse = conv.weight().grad;
       const std::int64_t held_sparse = retained_after_forward(conv, x, g);
@@ -173,7 +173,6 @@ int run(int argc, char** argv) {
     }
   }
   SparseExec::set_enabled(fwd_was);
-  SparseExec::set_bwd_enabled(bwd_was);
 
   if (!all_equal) return 1;
   std::printf("wrote %s\n", out_path.c_str());

@@ -91,10 +91,10 @@ Tensor Conv2d::forward(const Tensor& x, bool train) {
     Ctx ctx;
     ctx.in_shape = s;
     // Keep the packed events instead of the dense input whenever the
-    // sparse forward ran them (and the backward gate allows using them) —
-    // the event-driven dW is bit-identical to gemm_nt, and the retained
-    // footprint drops from N*C*H*W floats to the event list.
-    ctx.sparse = sparse && SparseExec::bwd_enabled();
+    // sparse forward ran them — the event-driven dW is bit-identical to
+    // gemm_nt, and the retained footprint drops from N*C*H*W floats to the
+    // event list.
+    ctx.sparse = sparse;
     if (ctx.sparse) {
       ctx.input_csr = std::move(csr_);
       ctx.bytes = ctx.input_csr.retained_bytes();
@@ -120,23 +120,8 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   const std::int64_t cr = g.col_rows(), cc = g.col_cols();
   assert(grad_out.shape()[0] == n && grad_out.shape()[1] == out_c_);
 
-  // dX dispatch on the gradient's density — the surrogate active set. The
-  // LIF/PLIF layer above publishes its exact nonzero count; a mismatched
-  // or missing hint falls back to one streaming scan.
-  bool sparse_dx = false;
-  if (input_grad_needed_ && SparseExec::bwd_enabled()) {
-    std::int64_t gnnz =
-        GradDensityHint::take(grad_out.data(), grad_out.numel());
-    if (gnnz < 0) gnnz = count_nonzero(grad_out.data(), grad_out.numel());
-    sparse_dx = static_cast<double>(gnnz) <
-                static_cast<double>(SparseExec::threshold()) *
-                    static_cast<double>(grad_out.numel());
-    SparseExec::note_bwd(static_cast<double>(gnnz),
-                         static_cast<double>(grad_out.numel()), sparse_dx);
-  }
-
-  SNNSKIP_SPAN(ctx.sparse || sparse_dx ? "conv.bwd.sparse" : "conv.bwd.dense",
-               name_);
+  SparseExec::note_bwd(ctx.sparse);
+  SNNSKIP_SPAN(ctx.sparse ? "conv.bwd.sparse" : "conv.bwd.dense", name_);
   Workspace& ws = Workspace::tls();
 
   if (ctx.sparse) {
@@ -182,21 +167,13 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
 
   Tensor grad_in(in_s);
   if (input_grad_needed_) {
-    if (sparse_dx) {
-      grad_csr_.build(grad_out.data(), n, out_c_ * cc);
-      spike_conv2d_backward_input(g, grad_csr_, weight_.value.data(), out_c_,
-                                  grad_in.data(), ws);
-    } else {
-      auto scope = ws.scope();
-      float* grad_cols = scope.floats(static_cast<std::size_t>(cr * cc));
-      for (std::int64_t img = 0; img < n; ++img) {
-        const float* go = grad_out.data() + img * out_c_ * cc;
-        // dcols(CKK, HoWo) = W(O, CKK)^T * gO(O, HoWo)
-        gemm_tn(cr, cc, out_c_, 1.f, weight_.value.data(), go, 0.f,
-                grad_cols);
-        col2im(g, grad_cols,
-               grad_in.data() + img * in_s[1] * in_s[2] * in_s[3]);
-      }
+    auto scope = ws.scope();
+    float* grad_cols = scope.floats(static_cast<std::size_t>(cr * cc));
+    for (std::int64_t img = 0; img < n; ++img) {
+      const float* go = grad_out.data() + img * out_c_ * cc;
+      // dcols(CKK, HoWo) = W(O, CKK)^T * gO(O, HoWo)
+      gemm_tn(cr, cc, out_c_, 1.f, weight_.value.data(), go, 0.f, grad_cols);
+      col2im(g, grad_cols, grad_in.data() + img * in_s[1] * in_s[2] * in_s[3]);
     }
   }
   return grad_in;

@@ -1,6 +1,6 @@
 #pragma once
-// 2-D convolution via im2col + GEMM, with event-driven sparse paths in
-// both directions.
+// 2-D convolution via im2col + GEMM, with an event-driven sparse forward
+// and weight gradient.
 //
 // Weight layout OIHW: (out_channels, in_channels, kernel, kernel).
 // Forward scans the input's density: binary/sparse spike tensors below the
@@ -9,15 +9,13 @@
 // GEMM path with the column buffer carved from the Workspace arena, so the
 // per-timestep loop never touches the heap in steady state.
 //
-// Backward (ISSUE 4): when the sparse forward fired (and SNNSKIP_SPARSE_BWD
-// allows), the Ctx keeps the forward SpikeCsr instead of the dense input —
-// dW comes straight from the packed events (work ∝ nnz·K²·O) and the
+// Backward (ISSUE 4): when the sparse forward fired, the Ctx keeps the
+// forward SpikeCsr instead of the dense input — dW comes straight from the
+// packed events (work ∝ nnz·K²·O, bit-identical to gemm_nt) and the
 // retained-activation footprint drops from N·C·H·W floats to the event
 // list. Dense contexts keep the input and recompute im2col into the arena
-// (K*K less retained memory than saving columns). dX dispatches on the
-// density of grad_out — the surrogate active set published by the LIF
-// layer above — choosing an event-driven scatter or gemm_tn + col2im.
-// Both sparse paths reproduce the dense accumulation order bit-for-bit.
+// (K*K less retained memory than saving columns). dX is always gemm_tn +
+// col2im: the BatchNormTT above every conv hands it a dense gradient.
 
 #include "nn/layer.h"
 #include "tensor/im2col.h"
@@ -73,9 +71,8 @@ class Conv2d final : public Layer {
   Parameter weight_;
   Parameter bias_;
   std::vector<Ctx> saved_;
-  SpikeCsr csr_;       // forward event-list scratch (moved into Ctx when
-                       // the sparse path fires in train mode)
-  SpikeCsr grad_csr_;  // backward event-list scratch, capacity reused
+  SpikeCsr csr_;  // forward event-list scratch (moved into Ctx when the
+                  // sparse path fires in train mode)
 };
 
 }  // namespace snnskip

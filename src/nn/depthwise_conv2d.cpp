@@ -96,7 +96,7 @@ Tensor DepthwiseConv2d::forward(const Tensor& x, bool train) {
 void DepthwiseConv2d::save_ctx(const Tensor& x, bool sparse) {
   Ctx ctx;
   ctx.in_shape = x.shape();
-  ctx.sparse = sparse && SparseExec::bwd_enabled();
+  ctx.sparse = sparse;
   if (ctx.sparse) {
     ctx.input_csr = std::move(csr_);
     ctx.bytes = ctx.input_csr.retained_bytes();
@@ -118,6 +118,7 @@ Tensor DepthwiseConv2d::backward(const Tensor& grad_out) {
   const std::int64_t n = s[0], h = s[2], w = s[3];
   const Shape os = grad_out.shape();
   const std::int64_t ho = os[2], wo = os[3];
+  SparseExec::note_bwd(ctx.sparse);
   SNNSKIP_SPAN(ctx.sparse ? "dwconv.bwd.sparse" : "dwconv.bwd.dense", name_);
 
   Tensor grad_in(s);

@@ -72,7 +72,7 @@ Tensor Linear::forward(const Tensor& x, bool train) {
   if (train) {
     Ctx ctx;
     ctx.n = n;
-    ctx.sparse = sparse && SparseExec::bwd_enabled();
+    ctx.sparse = sparse;
     if (ctx.sparse) {
       ctx.input_csr = std::move(csr_);
       ctx.bytes = ctx.input_csr.retained_bytes();
@@ -95,21 +95,8 @@ Tensor Linear::backward(const Tensor& grad_out) {
   const std::int64_t n = ctx.n;
   assert(grad_out.shape()[0] == n && grad_out.shape()[1] == out_f_);
 
-  bool sparse_dx = false;
-  if (SparseExec::bwd_enabled()) {
-    std::int64_t gnnz =
-        GradDensityHint::take(grad_out.data(), grad_out.numel());
-    if (gnnz < 0) gnnz = count_nonzero(grad_out.data(), grad_out.numel());
-    sparse_dx = static_cast<double>(gnnz) <
-                static_cast<double>(SparseExec::threshold()) *
-                    static_cast<double>(grad_out.numel());
-    SparseExec::note_bwd(static_cast<double>(gnnz),
-                         static_cast<double>(grad_out.numel()), sparse_dx);
-  }
-
-  SNNSKIP_SPAN(
-      ctx.sparse || sparse_dx ? "linear.bwd.sparse" : "linear.bwd.dense",
-      name_);
+  SparseExec::note_bwd(ctx.sparse);
+  SNNSKIP_SPAN(ctx.sparse ? "linear.bwd.sparse" : "linear.bwd.dense", name_);
 
   if (ctx.sparse) {
     spike_linear_backward_weight(ctx.input_csr, grad_out.data(), out_f_,
@@ -127,16 +114,10 @@ Tensor Linear::backward(const Tensor& grad_out) {
       }
     }
   }
+  // dX(N, I) = gO(N, O) * W(O, I)
   Tensor grad_in(Shape{n, in_f_});
-  if (sparse_dx) {
-    grad_csr_.build(grad_out.data(), n, out_f_);
-    spike_linear_backward_input(grad_csr_, weight_.value.data(), in_f_,
-                                grad_in.data());
-  } else {
-    // dX(N, I) = gO(N, O) * W(O, I)
-    gemm(n, in_f_, out_f_, 1.f, grad_out.data(), weight_.value.data(), 0.f,
-         grad_in.data());
-  }
+  gemm(n, in_f_, out_f_, 1.f, grad_out.data(), weight_.value.data(), 0.f,
+       grad_in.data());
   return grad_in;
 }
 

@@ -3,9 +3,9 @@
 // Sparse spike inputs below the SparseExec density threshold take an
 // event-driven path (one weight-column axpy per active feature) instead of
 // the dense GEMM. Backward mirrors it (ISSUE 4): sparse forward contexts
-// keep the SpikeCsr instead of the dense input and drive dW from events;
-// dX dispatches on grad_out's density (the surrogate active set) between
-// an event scatter and the dense GEMM — both bit-identical to dense.
+// keep the SpikeCsr instead of the dense input and drive dW from events,
+// bit-identical to the dense GEMM. dX is always the dense GEMM: the only
+// linear in the model families is the classifier head (DESIGN.md §5e).
 
 #include "nn/layer.h"
 #include "tensor/spike_csr.h"
@@ -47,9 +47,8 @@ class Linear final : public Layer {
   Parameter weight_;
   Parameter bias_;
   std::vector<Ctx> saved_;
-  SpikeCsr csr_;       // forward event-list scratch (moved into Ctx when
-                       // the sparse path fires in train mode)
-  SpikeCsr grad_csr_;  // backward event-list scratch, capacity reused
+  SpikeCsr csr_;  // forward event-list scratch (moved into Ctx when the
+                  // sparse path fires in train mode)
 };
 
 /// Collapse (N, C, H, W) to (N, C*H*W); pure reshape with exact backward.

@@ -4,7 +4,6 @@
 
 #include "telemetry/retained.h"
 #include "telemetry/telemetry.h"
-#include "tensor/spike_kernels.h"
 
 namespace snnskip {
 
@@ -90,7 +89,6 @@ Tensor Lif::backward(const Tensor& grad_out) {
   const float theta = cfg_.threshold;
   const bool detach = cfg_.detach_reset;
 
-  std::int64_t active = 0;
   for (std::int64_t i = 0; i < n; ++i) {
     // Refractory-silenced steps contribute no spike gradient.
     const float gate = live ? live[i] : 1.f;
@@ -103,15 +101,7 @@ Tensor Lif::backward(const Tensor& grad_out) {
       dv += carry[i] * (1.f - theta * sg);
     }
     gi[i] = dv;
-    active += (dv != 0.f);
     carry[i] = cfg_.beta * dv;  // becomes dL/dV'_{t-1}
-  }
-  // Publish the surrogate active set: with Boxcar, sigma' is exactly zero
-  // outside its window, so most dL/dx entries are hard zeros — the layer
-  // below reads this count to dispatch its event-driven dX path without
-  // rescanning the tensor.
-  if (SparseExec::bwd_enabled()) {
-    GradDensityHint::publish(gi, n, active);
   }
   return grad_in;
 }

@@ -6,7 +6,6 @@
 
 #include "telemetry/retained.h"
 #include "telemetry/telemetry.h"
-#include "tensor/spike_kernels.h"
 
 namespace snnskip {
 
@@ -98,7 +97,6 @@ Tensor Plif::backward(const Tensor& grad_out) {
   const bool detach = cfg_.detach_reset;
   double dw = 0.0;
 
-  std::int64_t active = 0;
   for (std::int64_t i = 0; i < n; ++i) {
     const float sg = cfg_.surrogate.grad(uptr[i]);
     float dv = go[i] * sg;
@@ -108,15 +106,10 @@ Tensor Plif::backward(const Tensor& grad_out) {
       dv += carry[i] * (1.f - theta * sg);
     }
     gi[i] = dv;
-    active += (dv != 0.f);
     dw += static_cast<double>(dv) * pm[i];  // direct w-path: V'_{t-1}
     carry[i] = b * dv;
   }
   leak_.grad[0] += static_cast<float>(dw) * dsig;
-  // Surrogate active set for the layer below (see Lif::backward).
-  if (SparseExec::bwd_enabled()) {
-    GradDensityHint::publish(gi, n, active);
-  }
   return grad_in;
 }
 

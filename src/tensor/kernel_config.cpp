@@ -4,6 +4,7 @@
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
+#include <forward_list>
 #include <fstream>
 #include <mutex>
 #include <sstream>
@@ -31,7 +32,11 @@ std::string fmt_float(float v) {
 // check is immune to whitespace/field-order edits only if they do not
 // change the semantic fields; any change that does flips the CRC.
 std::string profile_body(const TuningProfile& p) {
-  const simd::GemmTile tile = simd::kGemmTiles[p.config.gemm_tile];
+  // An index outside kGemmTiles writes the 0x0 tile, which parse rejects.
+  const bool legal_tile =
+      p.config.gemm_tile >= 0 && p.config.gemm_tile < simd::kNumGemmTiles;
+  const simd::GemmTile tile =
+      legal_tile ? simd::kGemmTiles[p.config.gemm_tile] : simd::GemmTile{0, 0};
   std::string s = "{\n";
   s += "  \"format\": \"";
   s += kFormat;
@@ -230,13 +235,25 @@ std::string g_profile_id = "default";  // written once under g_load_once
 std::string g_simd_hint = "auto";
 std::once_flag g_load_once;
 
+void publish(const KernelConfig& cfg) {
+  // Owns every config ever published, the retired ones included: readers
+  // hold the reference kernel_config() returned without refcounting, so a
+  // replaced config must stay valid until exit. Never destroyed, so a pool
+  // worker still running during static destruction reads live memory; the
+  // list stays reachable, so leak checkers do not report it.
+  static auto* const owned = new std::forward_list<KernelConfig>();
+  static std::mutex mutex;
+  std::lock_guard<std::mutex> lock(mutex);
+  owned->push_front(cfg);
+  g_cfg.store(&owned->front(), std::memory_order_release);
+}
+
 void ensure_loaded() {
   std::call_once(g_load_once, [] {
     Resolved r = load_resolved();
     g_profile_id = r.profile_id;
     g_simd_hint = r.simd_hint;
-    // Intentionally leaked: readers hold the pointer without refcounting.
-    g_cfg.store(new KernelConfig(r.cfg), std::memory_order_release);
+    publish(r.cfg);
   });
 }
 
@@ -273,9 +290,9 @@ void set_kernel_config(const KernelConfig& cfg) {
     c.infer_threshold = defaults.infer_threshold;
   }
   if (c.shards < 1) c.shards = defaults.shards;
-  // Leaked like the loader's config: set_kernel_config is called a bounded
-  // number of times (tests, tuner sweeps), and readers never refcount.
-  g_cfg.store(new KernelConfig(c), std::memory_order_release);
+  // Bounded growth: set_kernel_config runs a bounded number of times
+  // (tests, tuner sweeps).
+  publish(c);
 }
 
 const std::string& kernel_config_profile_id() {

@@ -88,13 +88,8 @@ struct SpikeKernels {
   void (*conv2d_backward_weight)(const ConvGeometry&, const SpikeCsr&,
                                  const float*, std::int64_t, float*,
                                  Workspace&);
-  void (*conv2d_backward_input)(const ConvGeometry&, const SpikeCsr&,
-                                const float*, std::int64_t, float*,
-                                Workspace&);
   void (*linear_backward_weight)(const SpikeCsr&, const float*, std::int64_t,
                                  float*, Workspace&);
-  void (*linear_backward_input)(const SpikeCsr&, const float*, std::int64_t,
-                                float*);
   void (*depthwise_backward_weight)(const ConvGeometry&, const SpikeCsr&,
                                     const float*, float*);
   void (*transpose)(const float*, std::int64_t, std::int64_t, float*,

@@ -16,8 +16,6 @@ namespace {
 
 std::atomic<bool> g_enabled{env::get_bool("SNNSKIP_SPARSE", true)};
 
-std::atomic<bool> g_bwd_enabled{env::get_bool("SNNSKIP_SPARSE_BWD", true)};
-
 // -1 = "not explicitly set": threshold() then reads the resolved kernel
 // config (defaults <- tuning profile <- SNNSKIP_SPARSE_THRESHOLD), lazily
 // so static init never races the config load. set_threshold() pins an
@@ -27,14 +25,6 @@ std::atomic<float> g_threshold{-1.f};
 std::mutex g_stats_mutex;
 SparseExec::Stats g_stats;
 SparseExec::Stats g_bwd_stats;
-
-struct HintSlot {
-  const float* ptr = nullptr;
-  std::int64_t numel = 0;
-  std::int64_t nnz = 0;
-  bool valid = false;
-};
-thread_local HintSlot g_hint;
 
 }  // namespace
 
@@ -48,13 +38,6 @@ void SparseExec::set_enabled(bool on) {
 }
 void SparseExec::set_threshold(float t) {
   g_threshold.store(t, std::memory_order_relaxed);
-}
-
-bool SparseExec::bwd_enabled() {
-  return enabled() && g_bwd_enabled.load(std::memory_order_relaxed);
-}
-void SparseExec::set_bwd_enabled(bool on) {
-  g_bwd_enabled.store(on, std::memory_order_relaxed);
 }
 
 SparseExec::Stats SparseExec::stats() {
@@ -73,33 +56,16 @@ SparseExec::Stats SparseExec::bwd_stats() {
   return g_bwd_stats;
 }
 
-void SparseExec::note_bwd(double nnz, double elements, bool took_sparse_path) {
+void SparseExec::note_bwd(bool took_sparse_path) {
   Telemetry::count(took_sparse_path ? "dispatch.bwd.sparse"
                                     : "dispatch.bwd.dense");
-  Telemetry::count("dispatch.bwd.nnz", nnz);
-  Telemetry::count("dispatch.bwd.elements", elements);
   std::lock_guard<std::mutex> lock(g_stats_mutex);
-  g_bwd_stats.nnz += nnz;
-  g_bwd_stats.elements += elements;
   if (took_sparse_path) {
     ++g_bwd_stats.sparse_calls;
   } else {
     ++g_bwd_stats.dense_calls;
   }
 }
-
-void GradDensityHint::publish(const float* data, std::int64_t numel,
-                              std::int64_t nnz) {
-  g_hint = HintSlot{data, numel, nnz, true};
-}
-
-std::int64_t GradDensityHint::take(const float* data, std::int64_t numel) {
-  if (!g_hint.valid || g_hint.ptr != data || g_hint.numel != numel) return -1;
-  g_hint.valid = false;
-  return g_hint.nnz;
-}
-
-void GradDensityHint::clear() { g_hint.valid = false; }
 
 void SparseExec::note(double nnz, double elements, bool took_sparse_path) {
   // Mirror every dispatch decision into the telemetry counters (no-ops
@@ -179,22 +145,11 @@ void spike_conv2d_backward_weight(const ConvGeometry& g, const SpikeCsr& csr,
                                            grad_weight, ws);
 }
 
-void spike_conv2d_backward_input(const ConvGeometry& g, const SpikeCsr& gcsr,
-                                 const float* weight, std::int64_t out_c,
-                                 float* grad_in, Workspace& ws) {
-  simd::spike_ops().conv2d_backward_input(g, gcsr, weight, out_c, grad_in, ws);
-}
-
 void spike_linear_backward_weight(const SpikeCsr& csr, const float* grad_out,
                                   std::int64_t out_f, float* grad_weight,
                                   Workspace& ws) {
   simd::spike_ops().linear_backward_weight(csr, grad_out, out_f, grad_weight,
                                            ws);
-}
-
-void spike_linear_backward_input(const SpikeCsr& gcsr, const float* weight,
-                                 std::int64_t in_f, float* grad_in) {
-  simd::spike_ops().linear_backward_input(gcsr, weight, in_f, grad_in);
 }
 
 void spike_depthwise_backward_weight(const ConvGeometry& g,

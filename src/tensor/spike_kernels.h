@@ -1,5 +1,5 @@
 #pragma once
-// Event-driven forward AND backward kernels for spiking activations.
+// Event-driven forward and weight-gradient kernels for spiking activations.
 //
 // Rationale (ISSUE 1 / ISSUE 4, DESIGN.md "Performance: event-driven
 // execution"): SNN passes convolve binary, mostly-zero tensors T times per
@@ -14,14 +14,13 @@
 //   linear     one O-length axpy from a transposed weight panel
 //   depthwise  K*K scalar taps into the channel's own output plane
 //
-// The BPTT backward uses the same event lists twice:
-//   dW         the forward input's SpikeCsr (saved in the layer Ctx, which
-//              also replaces the dense retained input) drives the weight
-//              gradient — work ∝ nnz * K*K * O instead of O * CKK * HoWo
-//   dX         the surrogate active set: Boxcar sigma' is exactly zero
-//              outside its window, so LIF/PLIF gradients are themselves
-//              sparse; a value-carrying gradient CSR drives an
-//              event-driven scatter instead of gemm_tn + col2im
+// The BPTT backward reuses the forward input's SpikeCsr (saved in the
+// layer Ctx, which also replaces the dense retained input) to drive the
+// weight gradient — work ∝ nnz * K*K * O instead of O * CKK * HoWo. There
+// is no event-driven dX: every conv/linear in the model families feeds
+// BatchNormTT, whose train-mode backward hands it a dense gradient
+// (DESIGN.md §5e), so dX is always gemm_tn + col2im (conv) or gemm
+// (linear).
 //
 // Every backward kernel reproduces the dense path's per-output-element
 // accumulation order exactly (increasing image, then increasing reduction
@@ -32,11 +31,10 @@
 // zero can never propagate a difference.
 //
 // Dispatch: layers scan the input with SpikeCsr and take this path only
-// when SparseExec::enabled() and density < SparseExec::threshold();
-// the backward side is additionally gated by SparseExec::bwd_enabled()
-// (SNNSKIP_SPARSE_BWD). Everything else (first encoder layer, BN outputs,
-// dense gradients) falls back to the dense GEMM path unchanged. Scratch
-// comes from the Workspace arena — steady-state timesteps allocate
+// when SparseExec::enabled() and density < SparseExec::threshold(); a
+// forward that took it keeps its events for dW. Everything else (first
+// encoder layer, BN outputs) falls back to the dense GEMM path unchanged.
+// Scratch comes from the Workspace arena — steady-state timesteps allocate
 // nothing.
 
 #include <cstdint>
@@ -58,12 +56,6 @@ class SparseExec {
   static void set_enabled(bool on);
   static void set_threshold(float t);
 
-  /// Backward-pass gate: true when both the master switch and the
-  /// SNNSKIP_SPARSE_BWD escape hatch (default on) allow the event-driven
-  /// dW/dX kernels. Layers only save CSR contexts while this holds.
-  static bool bwd_enabled();
-  static void set_bwd_enabled(bool on);
-
   /// Aggregate sparsity actually observed at sparse-eligible layer inputs.
   /// density() here is the same spikes-per-element definition used by
   /// FiringRateRecorder and EnergyModel::snn_energy_pj.
@@ -79,29 +71,12 @@ class SparseExec {
   /// Called by the layers on every eligible forward.
   static void note(double nnz, double elements, bool took_sparse_path);
 
-  /// Backward-dispatch twin of stats()/note(): achieved gradient density
-  /// and sparse-vs-dense dX dispatch counts (reset by reset_stats()).
+  /// Backward twin of stats()/note(): one dW dispatch per conv/linear/
+  /// depthwise backward call, from the saved events or from the dense
+  /// input (reset by reset_stats()). Only the call counts are kept — the
+  /// events dW walks are the forward input's, whose density stats() has.
   static Stats bwd_stats();
-  static void note_bwd(double nnz, double elements, bool took_sparse_path);
-};
-
-/// Handoff of the surrogate active set from a neuron backward to the layer
-/// below it. LIF/PLIF count the nonzeros of the dL/dx tensor they emit
-/// (the Boxcar window makes most entries exactly zero) and publish
-/// (data pointer, numel, nnz); the consuming layer's backward takes the
-/// hint instead of re-scanning. The hint is advisory: consumers verify
-/// pointer AND numel, fall back to count_nonzero on mismatch, and always
-/// rebuild the value CSR from the actual gradient tensor — a stale hint
-/// (the producer's tensor was freed and its address recycled) can at worst
-/// mis-estimate density and pick the slower dispatch, never corrupt a
-/// gradient. Thread-local, so pool workers training candidates in
-/// parallel never cross wires.
-class GradDensityHint {
- public:
-  static void publish(const float* data, std::int64_t numel, std::int64_t nnz);
-  /// Consume the hint if it matches this tensor; -1 when absent/mismatched.
-  static std::int64_t take(const float* data, std::int64_t numel);
-  static void clear();
+  static void note_bwd(bool took_sparse_path);
 };
 
 /// Full-tensor nonzero count — the cheap sparsity scan behind the
@@ -155,29 +130,12 @@ void spike_conv2d_backward_weight(const ConvGeometry& g, const SpikeCsr& csr,
                                   const float* grad_out, std::int64_t out_c,
                                   float* grad_weight, Workspace& ws);
 
-/// Conv2d input gradient from packed OUTPUT-gradient events. `gcsr` packs
-/// grad_out as (N, O*Ho*Wo) with values; `weight` is (O, C, K, K); writes
-/// into zero-initialized `grad_in` (N, C, H, W). Two phases per image:
-/// build the active output columns (per column, events in increasing-o
-/// order — gemm_tn's reduction order), then scatter them in col2im's
-/// (kernel-row, ascending-column) order, so the result matches the dense
-/// gemm_tn + col2im path bit-for-bit.
-void spike_conv2d_backward_input(const ConvGeometry& g, const SpikeCsr& gcsr,
-                                 const float* weight, std::int64_t out_c,
-                                 float* grad_in, Workspace& ws);
-
 /// Linear weight gradient from the forward input's events. `csr` packs the
 /// saved input as (N, in_f); `grad_out` is (N, out_f); ACCUMULATES into
 /// `grad_weight` (out_f, in_f) in gemm_tn's direct-onto-C order.
 void spike_linear_backward_weight(const SpikeCsr& csr, const float* grad_out,
                                   std::int64_t out_f, float* grad_weight,
                                   Workspace& ws);
-
-/// Linear input gradient from packed output-gradient events. `gcsr` packs
-/// grad_out as (N, out_f); `weight` is (out_f, in_f); writes into
-/// zero-initialized `grad_in` (N, in_f).
-void spike_linear_backward_input(const SpikeCsr& gcsr, const float* weight,
-                                 std::int64_t in_f, float* grad_in);
 
 /// Depthwise weight gradient from the forward input's events. `csr` packs
 /// the saved input as (N, C*H*W); `grad_out` is (N, C, Ho, Wo);

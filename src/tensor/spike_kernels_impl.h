@@ -431,106 +431,6 @@ void conv2d_backward_weight(const ConvGeometry& g, const SpikeCsr& csr,
 }
 
 template <bool V, bool F>
-void conv2d_backward_input(const ConvGeometry& g, const SpikeCsr& gcsr,
-                           const float* weight, std::int64_t out_c,
-                           float* grad_in, Workspace& ws) {
-  const std::int64_t ckk = g.col_rows();
-  const std::int64_t ho = g.out_h(), wo = g.out_w();
-  const std::int64_t howo = ho * wo;
-  const std::int64_t hw = g.in_h * g.in_w;
-  const std::int64_t k = g.kernel, s = g.stride, pad = g.pad;
-  const std::int64_t in_c = g.in_c;
-  (void)out_c;
-
-  auto scope = ws.scope();
-  // Integer scratch is carved from the float arena (same size/alignment).
-  std::int32_t* cnts = reinterpret_cast<std::int32_t*>(
-      scope.floats(static_cast<std::size_t>(howo)));
-  std::int32_t* pos = reinterpret_cast<std::int32_t*>(
-      scope.floats(static_cast<std::size_t>(howo)));
-  std::int32_t* active = reinterpret_cast<std::int32_t*>(
-      scope.floats(static_cast<std::size_t>(howo)));
-  std::int32_t* astart = reinterpret_cast<std::int32_t*>(
-      scope.floats(static_cast<std::size_t>(howo)));
-
-  for (std::int64_t img = 0; img < gcsr.rows(); ++img) {
-    const std::int32_t* idx = gcsr.row_indices(img);
-    const float* val = gcsr.row_values(img);
-    const std::int64_t cnt = gcsr.row_nnz(img);
-    if (cnt == 0) continue;  // dense would add only exact zeros here
-    auto img_scope = ws.scope();
-    // Bucket the gradient events by output column p (counting sort keeps
-    // the within-column order ascending in o — gemm_tn's reduction order).
-    std::memset(cnts, 0, static_cast<std::size_t>(howo) * sizeof(std::int32_t));
-    for (std::int64_t ev = 0; ev < cnt; ++ev) ++cnts[idx[ev] % howo];
-    std::int64_t na = 0;
-    std::int32_t run = 0;
-    for (std::int64_t p = 0; p < howo; ++p) {
-      if (cnts[p] == 0) continue;
-      active[na] = static_cast<std::int32_t>(p);
-      astart[na] = run;
-      pos[p] = run;
-      run += cnts[p];
-      ++na;
-    }
-    std::int32_t* bo = reinterpret_cast<std::int32_t*>(
-        img_scope.floats(static_cast<std::size_t>(cnt)));
-    float* bg = img_scope.floats(static_cast<std::size_t>(cnt));
-    for (std::int64_t ev = 0; ev < cnt; ++ev) {
-      const std::int64_t flat = idx[ev];
-      const std::int64_t p = flat % howo;
-      const std::int32_t at = pos[p]++;
-      bo[at] = static_cast<std::int32_t>(flat / howo);
-      bg[at] = val[ev];
-    }
-    // Phase 1: materialize only the active columns of the (CKK, HoWo)
-    // gradient-column matrix, compacted to (na, CKK). Each column is an
-    // independent output — safe to parallelize.
-    float* dcols = img_scope.floats(static_cast<std::size_t>(na * ckk));
-    parallel_for_range(
-        0, static_cast<std::size_t>(na), [&](std::size_t jb, std::size_t je) {
-          for (std::size_t j = jb; j < je; ++j) {
-            float* buf = dcols + static_cast<std::int64_t>(j) * ckk;
-            std::memset(buf, 0, static_cast<std::size_t>(ckk) * sizeof(float));
-            const std::int32_t b0 = astart[j];
-            const std::int32_t b1 = b0 + cnts[active[j]];
-            for (std::int32_t t = b0; t < b1; ++t) {
-              const float* wrow =
-                  weight + static_cast<std::int64_t>(bo[t]) * ckk;
-              axpy<V, F>(ckk, bg[t], wrow, buf);
-            }
-          }
-        });
-    // Phase 2: scatter in col2im's exact order — kernel row r ascending,
-    // then column p ascending — restricted to the active columns (the
-    // inactive ones hold exact +0 in the dense path). Channels own
-    // disjoint planes, so the channel partition is deterministic.
-    float* gimg = grad_in + img * in_c * hw;
-    parallel_for_range(
-        0, static_cast<std::size_t>(in_c), [&](std::size_t cb, std::size_t ce) {
-          for (std::size_t c = cb; c < ce; ++c) {
-            float* plane = gimg + static_cast<std::int64_t>(c) * hw;
-            for (std::int64_t ky = 0; ky < k; ++ky) {
-              for (std::int64_t kx = 0; kx < k; ++kx) {
-                const std::int64_t r =
-                    (static_cast<std::int64_t>(c) * k + ky) * k + kx;
-                for (std::int64_t j = 0; j < na; ++j) {
-                  const std::int64_t p = active[j];
-                  const std::int64_t oy = p / wo, ox = p % wo;
-                  const std::int64_t iy = oy * s - pad + ky;
-                  if (iy < 0 || iy >= g.in_h) continue;
-                  const std::int64_t ix = ox * s - pad + kx;
-                  if (ix < 0 || ix >= g.in_w) continue;
-                  plane[iy * g.in_w + ix] += dcols[j * ckk + r];
-                }
-              }
-            }
-          }
-        });
-  }
-}
-
-template <bool V, bool F>
 void linear_backward_weight(const SpikeCsr& csr, const float* grad_out,
                             std::int64_t out_f, float* grad_weight,
                             Workspace& ws) {
@@ -560,27 +460,6 @@ void linear_backward_weight(const SpikeCsr& csr, const float* grad_out,
         }
       });
   transpose_tiled<V, false>(wgt, in_f, out_f, grad_weight, tile);
-}
-
-template <bool V, bool F>
-void linear_backward_input(const SpikeCsr& gcsr, const float* weight,
-                           std::int64_t in_f, float* grad_in) {
-  parallel_for_range(
-      0, static_cast<std::size_t>(gcsr.rows()),
-      [&](std::size_t b, std::size_t e) {
-        for (std::size_t row = b; row < e; ++row) {
-          float* girow = grad_in + static_cast<std::int64_t>(row) * in_f;
-          const std::int32_t* idx =
-              gcsr.row_indices(static_cast<std::int64_t>(row));
-          const float* val = gcsr.row_values(static_cast<std::int64_t>(row));
-          const std::int64_t cnt = gcsr.row_nnz(static_cast<std::int64_t>(row));
-          for (std::int64_t ev = 0; ev < cnt; ++ev) {
-            const float* wrow =
-                weight + static_cast<std::int64_t>(idx[ev]) * in_f;
-            axpy<V, F>(in_f, val[ev], wrow, girow);
-          }
-        }
-      });
 }
 
 template <bool V, bool F>
@@ -835,9 +714,7 @@ inline simd::SpikeKernels make_spike_table() {
       &linear_forward<V, F>,
       &depthwise_forward<V, F>,
       &conv2d_backward_weight<V, F>,
-      &conv2d_backward_input<V, F>,
       &linear_backward_weight<V, F>,
-      &linear_backward_input<V, F>,
       &depthwise_backward_weight<V, F>,
       &transpose_tiled<V, false>,
       &transpose_tiled<V, true>,

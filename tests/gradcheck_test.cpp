@@ -51,16 +51,13 @@ INSTANTIATE_TEST_SUITE_P(
 struct ForceSparse {
   bool enabled = SparseExec::enabled();
   float threshold = SparseExec::threshold();
-  bool bwd = SparseExec::bwd_enabled();
   ForceSparse() {
     SparseExec::set_enabled(true);
-    SparseExec::set_bwd_enabled(true);
     SparseExec::set_threshold(1.f);
   }
   ~ForceSparse() {
     SparseExec::set_enabled(enabled);
     SparseExec::set_threshold(threshold);
-    SparseExec::set_bwd_enabled(bwd);
   }
 };
 

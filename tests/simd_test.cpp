@@ -222,7 +222,7 @@ struct SpikeFixture {
   std::int64_t o_c = 5;
   std::int64_t n_img = 2;
   std::vector<float> in, weight, bias, gout;
-  SpikeCsr csr, gcsr;
+  SpikeCsr csr;
 
   SpikeFixture() {
     const std::int64_t numel = g.in_c * g.in_h * g.in_w;
@@ -231,11 +231,6 @@ struct SpikeFixture {
     weight = randu(o_c * g.col_rows(), 32);
     bias = randu(o_c, 33);
     gout = randu(n_img * o_c * g.col_cols(), 34);
-    // Sparsify the output gradient so gcsr is a genuine event list.
-    for (std::size_t i = 0; i < gout.size(); ++i) {
-      if (i % 3 != 0) gout[i] = 0.f;
-    }
-    gcsr.build(gout.data(), n_img, o_c * g.col_cols());
   }
 };
 
@@ -243,9 +238,8 @@ TEST_F(SimdTest, SpikeConvKernelsBitIdentical) {
   SKIP_WITHOUT_AVX2();
   SpikeFixture fx;
   const std::int64_t out_n = fx.n_img * fx.o_c * fx.g.col_cols();
-  const std::int64_t in_n = fx.n_img * fx.g.in_c * fx.g.in_h * fx.g.in_w;
   auto run = [&](SimdLevel lvl, std::vector<float>* fwd,
-                 std::vector<float>* gw, std::vector<float>* gin) {
+                 std::vector<float>* gw) {
     ASSERT_EQ(set_active_simd(lvl), lvl);
     fwd->assign(static_cast<std::size_t>(out_n), 0.f);
     spike_conv2d_forward(fx.g, fx.csr, fx.weight.data(), fx.bias.data(),
@@ -253,16 +247,12 @@ TEST_F(SimdTest, SpikeConvKernelsBitIdentical) {
     gw->assign(fx.weight.size(), 0.25f);
     spike_conv2d_backward_weight(fx.g, fx.csr, fx.gout.data(), fx.o_c,
                                  gw->data(), Workspace::tls());
-    gin->assign(static_cast<std::size_t>(in_n), 0.f);
-    spike_conv2d_backward_input(fx.g, fx.gcsr, fx.weight.data(), fx.o_c,
-                                gin->data(), Workspace::tls());
   };
-  std::vector<float> sf, sw, si, vf, vw, vi;
-  run(SimdLevel::Scalar, &sf, &sw, &si);
-  run(SimdLevel::Avx2, &vf, &vw, &vi);
+  std::vector<float> sf, sw, vf, vw;
+  run(SimdLevel::Scalar, &sf, &sw);
+  run(SimdLevel::Avx2, &vf, &vw);
   EXPECT_TRUE(bitwise_equal(sf, vf)) << "conv2d forward";
   EXPECT_TRUE(bitwise_equal(sw, vw)) << "conv2d backward weight";
-  EXPECT_TRUE(bitwise_equal(si, vi)) << "conv2d backward input";
 }
 
 TEST_F(SimdTest, SpikeLinearKernelsBitIdentical) {
@@ -273,15 +263,10 @@ TEST_F(SimdTest, SpikeLinearKernelsBitIdentical) {
   csr.build(in.data(), n_img, in_f);
   const auto weight = randu(out_f * in_f, 42);
   const auto bias = randu(out_f, 43);
-  auto gout = randu(n_img * out_f, 44);
-  for (std::size_t i = 0; i < gout.size(); ++i) {
-    if (i % 4 != 1) gout[i] = 0.f;
-  }
-  SpikeCsr gcsr;
-  gcsr.build(gout.data(), n_img, out_f);
+  const auto gout = randu(n_img * out_f, 44);
 
   auto run = [&](SimdLevel lvl, std::vector<float>* fwd,
-                 std::vector<float>* gw, std::vector<float>* gin) {
+                 std::vector<float>* gw) {
     ASSERT_EQ(set_active_simd(lvl), lvl);
     fwd->assign(static_cast<std::size_t>(n_img * out_f), 0.f);
     spike_linear_forward(csr, weight.data(), bias.data(), out_f, fwd->data(),
@@ -289,15 +274,12 @@ TEST_F(SimdTest, SpikeLinearKernelsBitIdentical) {
     gw->assign(weight.size(), 0.5f);
     spike_linear_backward_weight(csr, gout.data(), out_f, gw->data(),
                                  Workspace::tls());
-    gin->assign(static_cast<std::size_t>(n_img * in_f), 0.f);
-    spike_linear_backward_input(gcsr, weight.data(), in_f, gin->data());
   };
-  std::vector<float> sf, sw, si, vf, vw, vi;
-  run(SimdLevel::Scalar, &sf, &sw, &si);
-  run(SimdLevel::Avx2, &vf, &vw, &vi);
+  std::vector<float> sf, sw, vf, vw;
+  run(SimdLevel::Scalar, &sf, &sw);
+  run(SimdLevel::Avx2, &vf, &vw);
   EXPECT_TRUE(bitwise_equal(sf, vf)) << "linear forward";
   EXPECT_TRUE(bitwise_equal(sw, vw)) << "linear backward weight";
-  EXPECT_TRUE(bitwise_equal(si, vi)) << "linear backward input";
 }
 
 TEST_F(SimdTest, SpikeDepthwiseKernelsBitIdentical) {

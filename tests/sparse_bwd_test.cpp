@@ -1,24 +1,28 @@
-// Event-driven sparse BPTT backward (ISSUE 4): the sparse dW/dX kernels
-// promise BIT-FOR-BIT equality with the dense gemm/direct-loop paths, at
-// any thread-count partitioning. These tests pin that contract:
+// Event-driven sparse BPTT backward (ISSUE 4): a layer whose forward took
+// the event path keeps its SpikeCsr and computes dW from it, promising
+// BIT-FOR-BIT equality with the dense gemm/direct-loop paths at any
+// thread-count partitioning. dX is always dense. These tests pin that:
 //
 //   - Conv2d / Linear / DepthwiseConv2d sparse-vs-dense gradient equality
-//     over random spike tensors and geometries (stride 2, 1x1, no-pad)
+//     over random spike tensors and geometries (stride 2, 1x1, no-pad),
+//     with dense and Bernoulli-masked output gradients
 //   - invariance under 1/2/4-way parallel_for partitions (the chunk
 //     override exercises partition boundaries even on a 1-core runner)
-//   - LIF/PLIF-produced surrogate gradients through a conv for all three
-//     surrogates, including the Boxcar |u| == w window boundary and a
-//     refractory LIF, with backward-dispatch telemetry assertions
-//   - the GradDensityHint handoff and its mismatch fallback
+//   - the chain the models build (spikes -> conv -> BNTT -> LIF/PLIF) for
+//     all three surrogates and a refractory LIF: the gradient reaching the
+//     conv is dense, and its dW/dX match with events on and off
+//   - the Boxcar |u| == w window boundary
 //   - RetainedActivations accounting (CSR contexts shrink retained bytes,
 //     backward/reset return to baseline)
 //   - set_input_grad_needed(false): dX skipped (zeros), dW still exact
+//   - the dW dispatch counts behind bwd_stats()
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <vector>
 
+#include "nn/batchnorm_tt.h"
 #include "nn/conv2d.h"
 #include "nn/depthwise_conv2d.h"
 #include "nn/linear.h"
@@ -36,12 +40,9 @@ namespace {
 struct SparseGuard {
   bool enabled = SparseExec::enabled();
   float threshold = SparseExec::threshold();
-  bool bwd = SparseExec::bwd_enabled();
   ~SparseGuard() {
     SparseExec::set_enabled(enabled);
     SparseExec::set_threshold(threshold);
-    SparseExec::set_bwd_enabled(bwd);
-    GradDensityHint::clear();
   }
 };
 
@@ -99,7 +100,7 @@ Grads dense_reference(Layer& layer, const Tensor& x, const Tensor& g) {
 struct ConvCase {
   std::int64_t in_c, out_c, kernel, stride, pad, h, w, n;
   bool bias;
-  float grad_rate;  // 1.0 = dense grad_out (sparse dW only, dense dX)
+  float grad_rate;  // 1.0 = dense grad_out, else a Bernoulli-masked one
 };
 
 class ConvSparseBwd : public ::testing::TestWithParam<ConvCase> {};
@@ -108,7 +109,6 @@ TEST_P(ConvSparseBwd, MatchesDenseBitForBit) {
   const ConvCase c = GetParam();
   SparseGuard guard;
   SparseExec::set_enabled(true);
-  SparseExec::set_bwd_enabled(true);
   SparseExec::set_threshold(0.25f);
 
   Rng rng(101);
@@ -136,7 +136,6 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(ConvSparseBwd, InvariantUnderChunkPartitions) {
   SparseGuard guard;
   SparseExec::set_enabled(true);
-  SparseExec::set_bwd_enabled(true);
   SparseExec::set_threshold(0.25f);
 
   Rng rng(103);
@@ -159,7 +158,6 @@ TEST(ConvSparseBwd, InvariantUnderChunkPartitions) {
 TEST(ConvSparseBwd, SkippedInputGradIsZeroAndWeightGradExact) {
   SparseGuard guard;
   SparseExec::set_enabled(true);
-  SparseExec::set_bwd_enabled(true);
   SparseExec::set_threshold(0.25f);
 
   Rng rng(105);
@@ -182,7 +180,6 @@ TEST(ConvSparseBwd, SkippedInputGradIsZeroAndWeightGradExact) {
 TEST(LinearSparseBwd, MatchesDenseBitForBit) {
   SparseGuard guard;
   SparseExec::set_enabled(true);
-  SparseExec::set_bwd_enabled(true);
   SparseExec::set_threshold(0.25f);
 
   Rng rng(107);
@@ -202,7 +199,6 @@ TEST(LinearSparseBwd, MatchesDenseBitForBit) {
 TEST(LinearSparseBwd, InvariantUnderChunkPartitions) {
   SparseGuard guard;
   SparseExec::set_enabled(true);
-  SparseExec::set_bwd_enabled(true);
   SparseExec::set_threshold(0.25f);
 
   Rng rng(109);
@@ -225,7 +221,6 @@ TEST(LinearSparseBwd, InvariantUnderChunkPartitions) {
 TEST(DepthwiseSparseBwd, MatchesDenseBitForBit) {
   SparseGuard guard;
   SparseExec::set_enabled(true);
-  SparseExec::set_bwd_enabled(true);
   SparseExec::set_threshold(0.25f);
 
   Rng rng(111);
@@ -243,106 +238,93 @@ TEST(DepthwiseSparseBwd, MatchesDenseBitForBit) {
   }
 }
 
-// --- LIF/PLIF-produced gradients through a conv -----------------------------
+// --- The model chain: spikes -> conv -> BNTT -> neuron ----------------------
 
-// Run spikes -> conv -> lif in sparse mode, backprop a top gradient, and
-// capture the surrogate gradient the neuron hands the conv. Then replay
-// the SAME gradient through the conv in forced-dense mode. The sparse and
-// dense conv backwards must agree bit-for-bit (the conv's own forward
-// mode never enters its backward math: dW uses input x grad_out, dX uses
-// W x grad_out).
+// Every Block node and stem runs op -> BatchNormTT -> neuron. Run that
+// chain over `timesteps` steps with the event path on and backprop a top
+// gradient; capture the gradient BNTT hands the conv at each step. It is
+// dense whatever the surrogate — the train-mode BNTT backward mixes every
+// element of a channel — which is why the conv has no event-driven dX.
+// Then replay the SAME gradients through an identically initialized conv
+// in forced-dense mode: dW and every dX must agree bit-for-bit (the conv's
+// forward mode never enters its backward math beyond the saved input).
 template <typename Neuron>
-void check_neuron_driven_conv(const LifConfig& cfg, float in_rate,
-                              bool expect_sparse_dx, int timesteps = 1) {
+void check_neuron_driven_conv(const LifConfig& cfg, int timesteps = 1) {
   SparseGuard guard;
-  SparseExec::set_enabled(true);
-  SparseExec::set_bwd_enabled(true);
   SparseExec::set_threshold(0.25f);
 
   Rng rng(113);
-  Conv2d conv(3, 4, 3, 1, 1, false, rng);
-  Neuron neuron(cfg);
   std::vector<Tensor> xs;
   std::vector<Tensor> g_tops;
   for (int t = 0; t < timesteps; ++t) {
-    xs.push_back(Tensor::bernoulli(Shape{2, 3, 8, 8}, rng, in_rate));
-    g_tops.push_back(Tensor::randn(conv.output_shape(xs[0].shape()), rng));
+    xs.push_back(Tensor::bernoulli(Shape{2, 3, 8, 8}, rng, 0.1f));
+    g_tops.push_back(Tensor::randn(Shape{2, 4, 8, 8}, rng));
   }
 
-  // Live sparse run: the neuron publishes its active-set hint on each
-  // timestep's backward, the conv consumes it right away.
-  conv.reset_state();
-  neuron.reset_state();
-  for (Parameter* p : conv.parameters()) p->zero_grad();
+  SparseExec::set_enabled(true);
+  Rng init(114);
+  Conv2d conv(3, 4, 3, 1, 1, false, init);
+  BatchNormTT bn(4, timesteps);
+  Neuron neuron(cfg);
   for (int t = 0; t < timesteps; ++t) {
-    (void)neuron.forward(conv.forward(xs[t], /*train=*/true),
+    (void)neuron.forward(bn.forward(conv.forward(xs[t], /*train=*/true),
+                                    /*train=*/true),
                          /*train=*/true);
   }
   SparseExec::reset_stats();
   std::vector<Tensor> g_convs(timesteps);
   std::vector<Tensor> sparse_dx(timesteps);
-  std::int64_t true_nnz = 0;
   for (int t = timesteps - 1; t >= 0; --t) {
-    g_convs[t] = neuron.backward(g_tops[t]);
-    true_nnz += count_nonzero(g_convs[t].data(), g_convs[t].numel());
+    g_convs[t] = bn.backward(neuron.backward(g_tops[t]));
+    EXPECT_EQ(count_nonzero(g_convs[t].data(), g_convs[t].numel()),
+              g_convs[t].numel())
+        << "BNTT handed the conv a sparse gradient at timestep " << t;
     sparse_dx[t] = conv.backward(g_convs[t]);
   }
-  Tensor sparse_dw = conv.weight().grad;
-  const auto stats = SparseExec::bwd_stats();
-  EXPECT_EQ(stats.sparse_calls + stats.dense_calls,
+  // Every dW ran from the forward's events.
+  EXPECT_EQ(SparseExec::bwd_stats().sparse_calls,
             static_cast<std::uint64_t>(timesteps));
-  if (expect_sparse_dx) {
-    EXPECT_GE(stats.sparse_calls, 1u);
-  } else {
-    EXPECT_EQ(stats.dense_calls, static_cast<std::uint64_t>(timesteps));
-  }
-  // The published hints were exact: telemetry saw the true nonzero count.
-  EXPECT_EQ(stats.nnz, static_cast<double>(true_nnz));
+  EXPECT_EQ(SparseExec::bwd_stats().dense_calls, 0u);
 
-  // Dense replay with the captured per-timestep gradients (the conv's
-  // backward math never reads its own forward output, so feeding the same
-  // gradients must reproduce dW and every dX bit-for-bit).
   SparseExec::set_enabled(false);
-  conv.reset_state();
-  for (Parameter* p : conv.parameters()) p->zero_grad();
+  Rng init_dense(114);
+  Conv2d dense(3, 4, 3, 1, 1, false, init_dense);
   for (int t = 0; t < timesteps; ++t) {
-    (void)conv.forward(xs[t], /*train=*/true);
+    (void)dense.forward(xs[t], /*train=*/true);
   }
   for (int t = timesteps - 1; t >= 0; --t) {
-    Tensor dense_dx = conv.backward(g_convs[t]);
+    Tensor dense_dx = dense.backward(g_convs[t]);
     EXPECT_EQ(Tensor::max_abs_diff(sparse_dx[t], dense_dx), 0.f)
         << "dX mismatch at timestep " << t;
   }
-  EXPECT_EQ(Tensor::max_abs_diff(sparse_dw, conv.weight().grad), 0.f);
-
-  neuron.reset_state();
-  conv.reset_state();
+  EXPECT_EQ(Tensor::max_abs_diff(conv.weight().grad, dense.weight().grad),
+            0.f);
 }
 
 TEST(NeuronDrivenConvBwd, BoxcarActiveSetDispatchesSparse) {
   LifConfig cfg;
   cfg.surrogate.kind = SurrogateKind::Boxcar;
   cfg.surrogate.scale = 2.f;  // half-width 0.5: narrow window, sparse dL/dx
-  check_neuron_driven_conv<Lif>(cfg, 0.1f, /*expect_sparse_dx=*/true);
+  check_neuron_driven_conv<Lif>(cfg);
 }
 
 TEST(NeuronDrivenConvBwd, FastSigmoidIsDenseEverywhere) {
   LifConfig cfg;
   cfg.surrogate.kind = SurrogateKind::FastSigmoid;
-  check_neuron_driven_conv<Lif>(cfg, 0.1f, /*expect_sparse_dx=*/false);
+  check_neuron_driven_conv<Lif>(cfg);
 }
 
 TEST(NeuronDrivenConvBwd, AtanIsDenseEverywhere) {
   LifConfig cfg;
   cfg.surrogate.kind = SurrogateKind::Atan;
-  check_neuron_driven_conv<Lif>(cfg, 0.1f, /*expect_sparse_dx=*/false);
+  check_neuron_driven_conv<Lif>(cfg);
 }
 
 TEST(NeuronDrivenConvBwd, PlifBoxcarDispatchesSparse) {
   LifConfig cfg;
   cfg.surrogate.kind = SurrogateKind::Boxcar;
   cfg.surrogate.scale = 2.f;
-  check_neuron_driven_conv<Plif>(cfg, 0.1f, /*expect_sparse_dx=*/true);
+  check_neuron_driven_conv<Plif>(cfg);
 }
 
 TEST(NeuronDrivenConvBwd, RefractoryLifStaysExact) {
@@ -352,8 +334,7 @@ TEST(NeuronDrivenConvBwd, RefractoryLifStaysExact) {
   cfg.refractory = 2;  // silenced steps mask their spike gradient to zero
   // 3 timesteps so neurons that spike at t=0 are refractory (live_mask 0,
   // gradient hard-zeroed) during t=1..2.
-  check_neuron_driven_conv<Lif>(cfg, 0.3f, /*expect_sparse_dx=*/true,
-                                /*timesteps=*/3);
+  check_neuron_driven_conv<Lif>(cfg, /*timesteps=*/3);
 }
 
 TEST(BoxcarBoundary, WindowEdgeIsInsideTheActiveSet) {
@@ -367,7 +348,7 @@ TEST(BoxcarBoundary, WindowEdgeIsInsideTheActiveSet) {
 
   // A LIF neuron landing exactly on the window edge: threshold 1,
   // x = 1.5 on a fresh membrane -> u = 0.5 == w. Its gradient entry must
-  // be counted active and propagate go * sigma'(u) = go * 1.
+  // be inside the active set and propagate go * sigma'(u) = go * 1.
   LifConfig cfg;
   cfg.surrogate = s;
   cfg.threshold = 1.f;
@@ -387,26 +368,11 @@ TEST(BoxcarBoundary, WindowEdgeIsInsideTheActiveSet) {
   lif.reset_state();
 }
 
-// --- GradDensityHint --------------------------------------------------------
-
-TEST(GradDensityHintTest, MatchConsumesMismatchFallsBack) {
-  GradDensityHint::clear();
-  Tensor t(Shape{8});
-  GradDensityHint::publish(t.data(), t.numel(), 3);
-  // Wrong numel: no match, and the hint survives for the right consumer.
-  EXPECT_EQ(GradDensityHint::take(t.data(), 4), -1);
-  EXPECT_EQ(GradDensityHint::take(t.data(), t.numel()), 3);
-  // Consumed: a second take must re-scan.
-  EXPECT_EQ(GradDensityHint::take(t.data(), t.numel()), -1);
-  GradDensityHint::clear();
-}
-
 // --- RetainedActivations ----------------------------------------------------
 
 TEST(RetainedActivationsTest, SparseContextsShrinkAndBalance) {
   SparseGuard guard;
   SparseExec::set_enabled(true);
-  SparseExec::set_bwd_enabled(true);
   SparseExec::set_threshold(0.25f);
 
   Rng rng(117);
@@ -448,85 +414,54 @@ TEST(RetainedActivationsTest, NeuronContextsBalanceAcrossTimesteps) {
 
 // --- backward-dispatch telemetry --------------------------------------------
 
+// bwd_stats() counts one dW dispatch per conv/linear/depthwise backward:
+// events when the forward ran sparse, GEMM (or the direct loop) otherwise.
+// perfbench's train.sparse_bwd_share is sparse / (sparse + dense) of these.
 TEST(SparseBwdStats, CountsDispatchAndDensity) {
   SparseGuard guard;
   SparseExec::set_enabled(true);
-  SparseExec::set_bwd_enabled(true);
   SparseExec::set_threshold(0.25f);
 
   Rng rng(121);
   Linear lin(16, 8, false, rng);
-  Tensor x = Tensor::bernoulli(Shape{3, 16}, rng, 0.1f);
-  Tensor g_sparse = sparse_signal(Shape{3, 8}, rng, 0.1f);
-  Tensor g_dense = Tensor::randn(Shape{3, 8}, rng);
+  Tensor x_sparse = Tensor::bernoulli(Shape{3, 16}, rng, 0.1f);
+  Tensor x_dense = Tensor::randn(Shape{3, 16}, rng);
+  Tensor g = Tensor::randn(Shape{3, 8}, rng);
 
   SparseExec::reset_stats();
-  (void)run_step(lin, x, g_sparse);
-  (void)run_step(lin, x, g_dense);
-  const auto stats = SparseExec::bwd_stats();
-  EXPECT_EQ(stats.sparse_calls, 1u);
-  EXPECT_EQ(stats.dense_calls, 1u);
-  EXPECT_EQ(stats.elements, static_cast<double>(2 * g_dense.numel()));
-  EXPECT_GT(stats.nnz, 0.0);
-  EXPECT_LT(stats.density(), 1.0);
+  (void)run_step(lin, x_sparse, g);
+  (void)run_step(lin, x_dense, g);
+  const auto bwd = SparseExec::bwd_stats();
+  EXPECT_EQ(bwd.sparse_calls, 1u);
+  EXPECT_EQ(bwd.dense_calls, 1u);
+  // Only the counts are kept: the events dW walks are the forward input's,
+  // and stats() already holds their density.
+  EXPECT_EQ(bwd.elements, 0.0);
+  const auto fwd = SparseExec::stats();
+  EXPECT_EQ(fwd.sparse_calls, bwd.sparse_calls);
+  EXPECT_EQ(fwd.dense_calls, bwd.dense_calls);
+  EXPECT_EQ(fwd.elements, static_cast<double>(2 * x_sparse.numel()));
+  EXPECT_GT(fwd.density(), 0.0);
+  EXPECT_LT(fwd.density(), 1.0);
 
-  // The gate is an escape hatch: with SNNSKIP_SPARSE_BWD off, nothing is
-  // counted and nothing dispatches sparse.
-  SparseExec::set_bwd_enabled(false);
+  // Conv2d and DepthwiseConv2d count too; with the event path off every
+  // backward is a dense dispatch.
+  Conv2d conv(2, 3, 3, 1, 1, false, rng);
+  DepthwiseConv2d dw(2, 3, 1, 1, false, rng);
+  Tensor x = Tensor::bernoulli(Shape{1, 2, 5, 5}, rng, 0.1f);
+  Tensor gc = Tensor::randn(Shape{1, 3, 5, 5}, rng);
+  Tensor gd = Tensor::randn(Shape{1, 2, 5, 5}, rng);
   SparseExec::reset_stats();
-  (void)run_step(lin, x, g_sparse);
-  EXPECT_EQ(SparseExec::bwd_stats().sparse_calls, 0u);
+  (void)run_step(conv, x, gc);
+  (void)run_step(dw, x, gd);
+  EXPECT_EQ(SparseExec::bwd_stats().sparse_calls, 2u);
   EXPECT_EQ(SparseExec::bwd_stats().dense_calls, 0u);
-}
-
-// --- sparse dX under finite differences -------------------------------------
-
-// The layer-level FD harness (gradcheck_test) probes with a dense random
-// weighting, which always dispatches the dense dX path. Here the probe
-// gradient itself is sparse, so the event-driven scatter is what FD
-// differentiates.
-TEST(SparseBwdFiniteDiff, ConvInputGradSparsePath) {
-  SparseGuard guard;
-  SparseExec::set_enabled(true);
-  SparseExec::set_bwd_enabled(true);
-  SparseExec::set_threshold(1.f);  // always sparse, any density
-
-  Rng rng(123);
-  Conv2d conv(2, 3, 3, 1, 1, true, rng);
-  Tensor x = Tensor::bernoulli(Shape{1, 2, 5, 5}, rng, 0.2f);
-  Tensor w = sparse_signal(conv.output_shape(x.shape()), rng, 0.3f);
-
-  auto loss = [&](const Tensor& in) {
-    conv.reset_state();
-    Tensor y = conv.forward(in, /*train=*/true);
-    conv.reset_state();
-    double s = 0.0;
-    for (std::int64_t i = 0; i < y.numel(); ++i) {
-      s += static_cast<double>(y[static_cast<std::size_t>(i)]) *
-           w[static_cast<std::size_t>(i)];
-    }
-    return s;
-  };
-
-  conv.reset_state();
-  for (Parameter* p : conv.parameters()) p->zero_grad();
-  (void)conv.forward(x, /*train=*/true);
-  Tensor gx = conv.backward(w);
-
-  const float eps = 1e-2f;
-  for (std::int64_t i = 0; i < x.numel(); i += 7) {
-    const std::size_t si = static_cast<std::size_t>(i);
-    const float orig = x[si];
-    x[si] = orig + eps;
-    const double lp = loss(x);
-    x[si] = orig - eps;
-    const double lm = loss(x);
-    x[si] = orig;
-    const double fd = (lp - lm) / (2.0 * eps);
-    const double an = gx[si];
-    EXPECT_NEAR(fd, an, 2e-2 * std::max(1.0, std::abs(an)))
-        << "input grad at flat index " << i;
-  }
+  SparseExec::set_enabled(false);
+  SparseExec::reset_stats();
+  (void)run_step(conv, x, gc);
+  (void)run_step(dw, x, gd);
+  EXPECT_EQ(SparseExec::bwd_stats().sparse_calls, 0u);
+  EXPECT_EQ(SparseExec::bwd_stats().dense_calls, 2u);
 }
 
 }  // namespace
